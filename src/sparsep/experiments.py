@@ -398,10 +398,12 @@ def _point_summary(point, rows):
 
 
 def _aggregate(points, rows):
+    by_point = {}
+    for r in rows:
+        by_point.setdefault(r.grid_index, []).append(r)
     per_point = []
     for gi, point in enumerate(points):
-        mine = [r for r in rows if r.grid_index == gi]
-        summary = _point_summary(point, mine)
+        summary = _point_summary(point, by_point.get(gi, []))
         summary["grid_index"] = gi
         per_point.append(summary)
     return {"per_point": per_point}

@@ -8,8 +8,13 @@ in s, so enumerating supports of size exactly s suffices.
 Exact mode enumerates all supports lexicographically (deterministic
 first-found tie-break) and is gated by the enumeration budget
 C(N, s) * s^3.  Randomized mode samples supports and sharpens each with a
-steepest single-swap local search; it is a certified lower bound on the
-exact value and reproducible given its seed.
+steepest single-swap ascent; it is a lower bound on the exact value and
+reproducible given its seed.  Each ascent step scores all s * (N - s)
+swaps as one batch, in (position, outside index) order with each
+candidate support sorted, and moves to the first strict maximum above the
+current value.  For delta_s, randomized mode reads I - Phi^T Phi from a
+p x p x m lag table (``LagGram``) and needs no dense budget; exact mode
+keeps the dense Gram as an independent reference.
 """
 
 from dataclasses import dataclass
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import budgets, rng
 from .errors import DimensionError, ParameterError
-from .operators import folded_operator, build_dense_folded
+from .operators import build_dense_folded
 
 EXACT = "exact"
 RANDOMIZED = "randomized_lower_bound"
@@ -43,21 +48,27 @@ class SNormResult:
     trials: int = 0
 
 
-class GramResidualOracle:
-    """Submatrix access to Z = I - Phi^T Phi without forming Z densely."""
+class LagGram:
+    """Phi^T Phi of the folded operator, indexed by lag.
+
+    Column (k, j) of Phi is phi_k circularly shifted by j - n + 1, so entry
+    ((k, j), (l, i)) of Phi^T Phi is the circular cross-correlation
+    ``lags[k, l, (j - i) mod m]`` with ``lags[k, l] = irfft(conj(g_k) g_l)``.
+    The table holds p * p * m floats.
+    """
 
     def __init__(self, probes):
-        self._op = folded_operator(probes)
-        self.size = self._op.input_len
+        d = probes.dims
+        half = probes.g[:, : d.m // 2 + 1]
+        self.lags = np.fft.irfft(np.conj(half)[:, None, :] * half[None, :, :], n=d.m, axis=-1)
+        self.n, self.m, self.p = d.n, d.m, d.p
 
-    def submatrix(self, support):
-        support = np.asarray(support, dtype=int)
-        cols = np.empty((self.size, support.size))
-        for out_col, i in enumerate(support):
-            e = np.zeros(self.size)
-            e[i] = 1.0
-            cols[:, out_col] = e - self._op.gram_apply(e)
-        return cols[support, :]
+    def residual_blocks(self, idx):
+        """Principal blocks (I - Phi^T Phi)[idx, idx] for indices of shape (..., s)."""
+        k, j = np.divmod(np.asarray(idx), self.n)
+        pair = k[..., :, None] * self.p + k[..., None, :]
+        lag = (j[..., :, None] - j[..., None, :]) % self.m
+        return np.eye(k.shape[-1]) - self.lags.reshape(-1)[pair * self.m + lag]
 
 
 def _spectral_norms(stack, symmetric):
@@ -80,6 +91,13 @@ def _check_args(n, s):
         raise DimensionError(f"s={s} exceeds matrix size {n}")
 
 
+def _square(a):
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"need a square matrix, got shape {a.shape}")
+    return a
+
+
 def snorm_exact(a, s, work_limit=None):
     """Exhaustive restricted s-norm of a dense square matrix.
 
@@ -87,9 +105,7 @@ def snorm_exact(a, s, work_limit=None):
     the first support found.  Raises BudgetError when C(N, s) * s^3
     exceeds the enumeration budget.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"need a square matrix, got shape {a.shape}")
+    a = _square(a)
     n = a.shape[0]
     _check_args(n, s)
     budgets.check_enum(comb(n, s) * s**3, work_limit, "exact s-norm")
@@ -112,63 +128,33 @@ def snorm_exact(a, s, work_limit=None):
     return SNormResult(s=s, value=best_value, mode=EXACT, argmax_support=tuple(best_support))
 
 
-def _submatrix_fn(a):
-    if isinstance(a, np.ndarray):
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"need a square matrix, got shape {a.shape}")
-        size = a.shape[0]
-        symmetric = _is_symmetric(a)
-        return size, symmetric, lambda idx: a[np.ix_(idx, idx)]
-    # matrix-free oracle: symmetric by construction (Gram residual)
-    return a.size, True, a.submatrix
-
-
-def snorm_randomized(a, s, trials, seed, swap_cap_factor=5):
-    """Randomized lower bound on the restricted s-norm.
-
-    Each trial draws a uniform size-s support and runs a steepest
-    single-index swap ascent, capped at ``swap_cap_factor * s * N``
-    submatrix evaluations per trial.  Deterministic given the seed; the
-    result never exceeds the exact norm.
-    """
-    size, symmetric, submatrix = _submatrix_fn(a)
+def _swap_ascent(blocks, size, symmetric, s, trials, seed, swap_cap_factor=5):
+    """snorm_randomized over ``blocks``: supports (B, s) -> blocks (B, s, s)."""
     _check_args(size, s)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-
-    def value_of(support):
-        return float(_spectral_norms(submatrix(support)[None, :, :], symmetric)[0])
-
+    pos = np.arange(s)
     best_value = -1.0
     best_support = None
     cap = swap_cap_factor * s * size
     for trial in range(trials):
         support = rng.rand_support(rng.derive_seed(seed, trial), size, s)
-        current = value_of(support)
+        current = float(_spectral_norms(blocks(support[None, :]), symmetric)[0])
         evals = 0
-        improved = True
-        while improved and evals < cap:
-            improved = False
-            outside = np.setdiff1d(np.arange(size), support)
-            step_best = current
-            step_support = None
-            for pos in range(s):
-                for j in outside:
-                    candidate = support.copy()
-                    candidate[pos] = j
-                    candidate = np.sort(candidate)
-                    val = value_of(candidate)
-                    evals += 1
-                    if val > step_best:
-                        step_best = val
-                        step_support = candidate
-                    if evals >= cap:
-                        break
-                if evals >= cap:
-                    break
-            if step_support is not None:
-                support, current = step_support, step_best
-                improved = True
+        while evals < cap:
+            outside = np.delete(np.arange(size), support)
+            # cands[q, t] swaps support[q] for outside[t]
+            cands = np.repeat(support[None, None, :], s, axis=0).repeat(outside.size, axis=1)
+            cands[pos, :, pos] = outside
+            cands = np.sort(cands.reshape(-1, s), axis=1)[: cap - evals]
+            if not len(cands):
+                break
+            evals += len(cands)
+            values = _spectral_norms(blocks(cands), symmetric)
+            top = int(np.argmax(values))
+            if not values[top] > current:
+                break
+            support, current = cands[top], float(values[top])
         if current > best_value:
             best_value = current
             best_support = tuple(int(i) for i in support)
@@ -177,34 +163,35 @@ def snorm_randomized(a, s, trials, seed, swap_cap_factor=5):
     )
 
 
+def snorm_randomized(a, s, trials, seed, swap_cap_factor=5):
+    """Randomized lower bound on the restricted s-norm of a dense square matrix.
+
+    Each trial draws a uniform size-s support and runs the steepest swap
+    ascent (module docstring), capped at ``swap_cap_factor * s * N``
+    submatrix evaluations per trial.  Deterministic given the seed; the
+    result never exceeds the exact norm.
+    """
+    a = _square(a)
+
+    def blocks(idx):
+        return a[idx[..., :, None], idx[..., None, :]]
+
+    return _swap_ascent(blocks, a.shape[0], _is_symmetric(a), s, trials, seed, swap_cap_factor)
+
+
 def rip_delta(probes, s, mode=EXACT, trials=100, seed=0, work_limit=None, dense_limit=None):
     """Restricted-isometry constant delta_s = ||I - Phi^T Phi||_s (folded).
 
     The returned delta certifies (1 - delta)||x||^2 <= ||Phi x||^2 <=
     (1 + delta)||x||^2 for every s-sparse x (with equality attainable on
-    the argmax support in exact mode).
+    the argmax support in exact mode).  Only exact mode is budget-gated.
     """
     size = probes.dims.signal_len
-    dense_ok = True
-    try:
-        budgets.check_dense(size * size, dense_limit, "dense Gram")
-        budgets.check_dense(probes.dims.m * size, dense_limit, "dense folded operator")
-    except budgets.BudgetError:
-        dense_ok = False
-
     if mode == EXACT:
-        if not dense_ok:
-            raise budgets.BudgetError(
-                "exact rip_delta needs the dense Gram; raise the dense budget"
-            )
+        budgets.check_dense(size * size, dense_limit, "dense Gram")
         phi = build_dense_folded(probes, dense_limit)
         z = np.eye(size) - phi.T @ phi
         return snorm_exact(z, s, work_limit)
-    if mode == RANDOMIZED or mode == "randomized":
-        if dense_ok:
-            phi = build_dense_folded(probes, dense_limit)
-            target = np.eye(size) - phi.T @ phi
-        else:
-            target = GramResidualOracle(probes)
-        return snorm_randomized(target, s, trials, seed)
+    if mode == RANDOMIZED:
+        return _swap_ascent(LagGram(probes).residual_blocks, size, True, s, trials, seed)
     raise ParameterError(f"unknown mode {mode!r}")

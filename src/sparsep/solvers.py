@@ -172,7 +172,10 @@ def solve_bpdn(op, y, cfg):
     increasing in lam, so a bracketed log-secant search drives it onto the
     effective budget max(eps, feas_tol * ||y||).  For eps = 0 any residual
     at or below the effective budget is accepted (the penalized path
-    converges to the minimum-l1 interpolator as lam -> 0).
+    converges to the minimum-l1 interpolator as lam -> 0).  If the bracket
+    shrinks to adjacent floats, the search restarts once with 1000x tighter
+    inner solves; a second collapse stops unconverged with the note
+    "lambda bracket collapsed".
     """
     y = _check_y(op, y)
     if cfg.epsilon < 0:
@@ -198,12 +201,14 @@ def solve_bpdn(op, y, cfg):
     lam_hi, r_hi = lam_max, ynorm
     lam_lo, r_lo = None, None
     lam = 0.5 * lam_max
+    tol = cfg.opt_tol
     converged = False
+    note = ""
     for _ in range(80):
         budget = cfg.max_iter - iters
         if budget <= 0:
             break
-        x, it, lips = _fista(op, y, lam, x, lips, cfg.opt_tol, budget)
+        x, it, lips = _fista(op, y, lam, x, lips, tol, budget)
         iters += it
         r = float(np.linalg.norm(op.apply(x) - y))
         if exact_mode:
@@ -231,10 +236,20 @@ def solve_bpdn(op, y, cfg):
                 lam_new = np.sqrt(lam_hi * lam_lo)
             if not (lam_lo < lam_new < lam_hi):
                 lam_new = np.sqrt(lam_hi * lam_lo)
+            if not (lam_lo < lam_new < lam_hi):
+                # the bracket shrank to adjacent floats with r on both sides
+                # of eps: the inner solves are too loose to resolve r(lam).
+                # Solve 1000x tighter and re-bracket from lam_hi once.
+                if tol < cfg.opt_tol:
+                    note = "lambda bracket collapsed"
+                    break
+                tol = cfg.opt_tol * 1e-3
+                lam_lo, r_lo = None, None
+                lam_new = lam_hi / 8.0
             lam = lam_new
         if lam < lam_max * 1e-16:
             break
-    return _result(op, x, y, iters, converged, "bpdn")
+    return _result(op, x, y, iters, converged, "bpdn", note=note)
 
 
 def solve_iht(op, y, cfg):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from click.testing import CliRunner
 
 from sparsep import fileio
 from sparsep.cli import main
+from sparsep.operators import linear_operator
 from sparsep.probes import ProblemDims, generate_probes
+from sparsep.rng import derive_seed
+from sparsep.solvers import SolverConfig
 
 
 @pytest.fixture
@@ -159,6 +163,28 @@ class TestRecover:
                                       "--max-iter", "2",
                                       "--out-json", str(tmp_path / "r.json")])
         assert result.exit_code == 4
+
+    def test_collapsed_lambda_bracket(self, runner, tmp_path):
+        # On this noisy linear (256, 1024, 16) file the loose inner solves
+        # squeeze the lambda bracket to adjacent floats with the residual
+        # still 2.3e-6 * eps off the budget; the solve must still land on it.
+        probes = gen(runner, tmp_path, n=256, m=1024, p=16, seed=derive_seed(3, 3, 2))
+        y = tmp_path / "y.csv"
+        assert invoke(runner, "simulate", "--probes", probes, "--random-sparse", 32,
+                      "--channel-seed", derive_seed(3, 4, 2), "--noise-eps", 0.05,
+                      "--noise-seed", derive_seed(3, 5, 2), "--out", y).exit_code == 0
+        out_json = tmp_path / "rec.json"
+        out_csv = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = invoke(runner, "recover", "--probes", probes, "--measurements", y,
+                            "--method", "bpdn", "--out-json", out_json, "--out-csv", out_csv)
+        assert result.exit_code == 0, result.output
+        assert json.loads(out_json.read_text())["converged"] is True
+        header, y_vec = fileio.read_measurements(y)
+        _, x_hat = fileio.read_vector_file(out_csv)
+        residual = np.linalg.norm(linear_operator(fileio.read_probes(probes)).apply(x_hat) - y_vec)
+        assert residual <= header["epsilon"] * (1 + SolverConfig().feas_tol)
 
 
 class TestExperiment:

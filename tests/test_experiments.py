@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from sparsep.errors import ParameterError
 from sparsep.experiments import (
     ExperimentConfig,
+    _aggregate,
+    _point_summary,
     grid_points,
     replay_trial,
     run_coded_aperture,
@@ -70,6 +73,17 @@ class TestReproducibility:
         b = run_experiment(cfg, threads=4)
         assert strip_times(a) == strip_times(b)
         assert a.aggregates == b.aggregates
+
+    def test_aggregate_matches_per_point_filter(self):
+        cfg = phase_cfg(m_grid=(8, 12), s_grid=(1, 2), trials=3)
+        points = grid_points(cfg)
+        rows = list(run_experiment(cfg).trials)
+        np.random.default_rng(0).shuffle(rows)
+        expected = {"per_point": [
+            dict(_point_summary(pt, [r for r in rows if r.grid_index == gi]), grid_index=gi)
+            for gi, pt in enumerate(points)
+        ]}
+        assert json.dumps(_aggregate(points, rows)) == json.dumps(expected)
 
     def test_replay_single_trial(self):
         cfg = phase_cfg(trials=5)

@@ -2,14 +2,16 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsep.errors import BudgetError, DimensionError
+from sparsep.errors import BudgetError, DimensionError, ParameterError
 from sparsep.operators import build_dense_folded
 from sparsep.probes import ProblemDims, generate_probes
 from sparsep.snorm import (
     EXACT,
     RANDOMIZED,
-    GramResidualOracle,
+    LagGram,
     rip_delta,
     snorm_exact,
     snorm_randomized,
@@ -129,6 +131,25 @@ class TestRandomized:
         r2 = snorm_randomized(a, 3, trials=7, seed=42)
         assert r1.value == r2.value and r1.argmax_support == r2.argmax_support
 
+    # (matrix seed, N, s, trials, seed, swap_cap_factor) -> (value, argmax_support),
+    # recorded from the one-candidate-at-a-time search; the cap-1 cases cut
+    # their second step at the evaluation cap
+    FROZEN = [
+        ((300, 12, 2, 5, 1, 5), "0x1.17619ba2f219cp+1", (1, 11)),
+        ((301, 12, 3, 6, 2, 5), "0x1.0213f0f8cc41bp+2", (7, 8, 9)),
+        ((302, 16, 3, 4, 3, 5), "0x1.5121ecc665450p+1", (1, 6, 7)),
+        ((303, 16, 4, 4, 4, 1), "0x1.13c7cd2787b3dp+2", (5, 7, 9, 11)),
+        ((304, 20, 5, 3, 5, 1), "0x1.17eed921e7a72p+2", (8, 9, 14, 17, 19)),
+    ]
+
+    @pytest.mark.parametrize("case, value, support", FROZEN)
+    def test_frozen_search_output(self, case, value, support):
+        mseed, n, s, trials, seed, cap = case
+        a = random_symmetric(mseed, n)
+        res = snorm_randomized(a, s, trials=trials, seed=seed, swap_cap_factor=cap)
+        assert res.value == float.fromhex(value)
+        assert res.argmax_support == support
+
 
 class TestRipDelta:
     def test_golden_regression(self):
@@ -174,9 +195,44 @@ class TestRipDelta:
         ps = generate_probes(d, 13)
         phi = build_dense_folded(ps)
         z = np.eye(d.signal_len) - phi.T @ phi
-        oracle = GramResidualOracle(ps)
         sup = np.array([0, 2, 5])
-        assert np.max(np.abs(oracle.submatrix(sup) - z[np.ix_(sup, sup)])) < 1e-12
+        block = LagGram(ps).residual_blocks(sup)
+        assert np.max(np.abs(block - z[np.ix_(sup, sup)])) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        extra=st.integers(0, 10),
+        p=st.integers(1, 4),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_lag_blocks_match_dense(self, n, extra, p, seed, data):
+        ps = generate_probes(ProblemDims(n, n + extra, p), seed)
+        phi = build_dense_folded(ps)
+        z = np.eye(n * p) - phi.T @ phi
+        s = data.draw(st.integers(1, n * p))
+        sups = np.array([
+            data.draw(st.permutations(range(n * p)))[:s] for _ in range(3)
+        ])
+        blocks = LagGram(ps).residual_blocks(sups)
+        assert blocks.shape == (3, s, s)
+        for sup, block in zip(sups, blocks):
+            assert np.max(np.abs(block - z[np.ix_(sup, sup)])) <= 1e-12
+
+    def test_randomized_needs_no_dense_budget(self, monkeypatch):
+        ps = generate_probes(ProblemDims(8, 32, 4), 5)
+        exact = rip_delta(ps, 2).value
+        monkeypatch.setenv("SPARSEP_WORK_LIMIT", str(ps.dims.signal_len**2 - 1))
+        with pytest.raises(BudgetError):
+            rip_delta(ps, 2)
+        rnd = rip_delta(ps, 2, mode=RANDOMIZED, trials=8, seed=3)
+        assert 0.0 < rnd.value <= exact + 1e-14
+
+    def test_unknown_mode_rejected(self):
+        ps = generate_probes(ProblemDims(4, 16, 2), 42)
+        with pytest.raises(ParameterError):
+            rip_delta(ps, 2, mode="randomized")
 
 
 def test_exact_tie_break_is_first_lexicographic_support():
