@@ -17,15 +17,12 @@ from .errors import (
 from .probes import (
     ProblemDims,
     ProbeSet,
-    empirical_spectrum_stats,
     generate_probes,
-    probe_spectrum,
 )
 from .operators import (
     FoldMap,
     MeasurementOperator,
     Variant,
-    build_dense,
     build_dense_folded,
     build_dense_linear,
     folded_operator,
@@ -45,11 +42,7 @@ from .experiments import (
     ExperimentRecord,
     grid_points,
     replay_trial,
-    run_coded_aperture,
     run_experiment,
-    run_phase_transition,
-    run_rip_scaling,
-    run_stability,
 )
 
 __all__ = [
@@ -63,14 +56,11 @@ __all__ = [
     "ProblemDims",
     "ProbeSet",
     "generate_probes",
-    "probe_spectrum",
-    "empirical_spectrum_stats",
     "FoldMap",
     "MeasurementOperator",
     "Variant",
     "linear_operator",
     "folded_operator",
-    "build_dense",
     "build_dense_linear",
     "build_dense_folded",
     "SNormResult",
@@ -87,9 +77,5 @@ __all__ = [
     "ExperimentRecord",
     "grid_points",
     "run_experiment",
-    "run_rip_scaling",
-    "run_phase_transition",
-    "run_stability",
-    "run_coded_aperture",
     "replay_trial",
 ]

@@ -194,7 +194,7 @@ def _utc_now():
 @main.command("experiment")
 @click.option("--config", "config_path", type=click.Path(), required=True)
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--resume", is_flag=True, default=False,
               help="Skip grid points already complete in OUT_DIR's trials.csv.")
 def experiment(config_path, out_dir, threads, resume):

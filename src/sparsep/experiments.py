@@ -1,6 +1,8 @@
 """Monte Carlo harnesses for the library's empirical claims.
 
-Four experiment kinds share one config/record format:
+Four experiment kinds share one config/record format and one runner,
+:func:`run_experiment`, which picks the trial function from
+``cfg.kind``:
 
 * rip_scaling      -- mean restricted norm ||I - Phi^T Phi||_s over an
   m-grid, with a log-log slope fit (the mean decays like m^{-1/2} up to
@@ -16,6 +18,9 @@ Four experiment kinds share one config/record format:
   PSNR recorded, optional sparsity in block differences (consecutive
   frames).
 
+rip_scaling adds the slope ``fits`` to the aggregates and stability adds
+``stability_fit``; :func:`replay_trial` re-runs any one trial.
+
 Seed discipline: each trial's seed is
 ``derive_seed(base_seed, grid_index, trial_index)``; probes, channel
 support, amplitudes and noise use sub-seeds ``derive_seed(trial_seed, 1..4)``.
@@ -24,6 +29,7 @@ that every epsilon sees the same probes and channel.  Trials are
 independent, may run on any thread, and aggregate order-independently.
 """
 
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace, asdict
@@ -229,37 +235,7 @@ def _psnr(x_hat, h):
     return float(10.0 * np.log10(peak**2 / mse))
 
 
-def _recovery_trial(cfg, gi, gp, trial, coded=False):
-    start = time.perf_counter()
-    trial_seed = rng.derive_seed(cfg.base_seed, gi, trial)
-    dims = ProblemDims(gp.n, gp.m, gp.p)
-    probes = generate_probes(dims, rng.derive_seed(trial_seed, 1))
-    base_op = folded_operator(probes)
-    size = dims.signal_len
-    if coded and cfg.block_difference:
-        c = _sparse_channel(
-            rng.derive_seed(trial_seed, 2), rng.derive_seed(trial_seed, 3), size, gp.s
-        )
-        h = _block_cumsum(c, gp.p, gp.n)
-        op = _FrameDifferenceOperator(base_op, gp.p, gp.n)
-        target, support = c, np.flatnonzero(c)
-    else:
-        h = _sparse_channel(
-            rng.derive_seed(trial_seed, 2), rng.derive_seed(trial_seed, 3), size, gp.s
-        )
-        op = base_op
-        target, support = h, np.flatnonzero(h)
-    y = op.apply(target)
-    if gp.epsilon > 0.0:
-        y = y + rng.noise_with_norm(rng.derive_seed(trial_seed, 4), y.size, gp.epsilon)
-    result = _solve(cfg, op, y, gp, true_support=support)
-    x_img = (
-        _block_cumsum(result.x_hat, gp.p, gp.n)
-        if coded and cfg.block_difference
-        else result.x_hat
-    )
-    rel = _relative_error(x_img, h)
-    success = bool(result.converged and rel < cfg.success_threshold)
+def _row(gi, gp, trial, trial_seed, start, **fields):
     return TrialRow(
         grid_index=gi,
         trial_index=trial,
@@ -269,14 +245,47 @@ def _recovery_trial(cfg, gi, gp, trial, coded=False):
         p=gp.p,
         s=gp.s,
         epsilon=gp.epsilon,
+        wall_time=time.perf_counter() - start,
+        **fields,
+    )
+
+
+def _recover_and_score(cfg, gi, gp, trial, start, op, target, h, to_image=None, psnr=False):
+    """Measure ``target`` through ``op`` plus the trial's noise, solve, score against ``h``."""
+    trial_seed = rng.derive_seed(cfg.base_seed, gi, trial)
+    y = op.apply(target)
+    if gp.epsilon > 0.0:
+        y = y + rng.noise_with_norm(rng.derive_seed(trial_seed, 4), y.size, gp.epsilon)
+    result = _solve(cfg, op, y, gp, true_support=np.flatnonzero(target))
+    x_img = to_image(result.x_hat) if to_image else result.x_hat
+    rel = _relative_error(x_img, h)
+    return _row(
+        gi, gp, trial, trial_seed, start,
         method=cfg.method,
         relative_error=rel,
         residual=result.residual_norm,
-        success=success,
+        success=bool(result.converged and rel < cfg.success_threshold),
         converged=bool(result.converged),
-        psnr=_psnr(x_img, h) if coded else None,
-        wall_time=time.perf_counter() - start,
+        psnr=_psnr(x_img, h) if psnr else None,
     )
+
+
+def _recovery_trial(cfg, gi, gp, trial, coded=False):
+    start = time.perf_counter()
+    trial_seed = rng.derive_seed(cfg.base_seed, gi, trial)
+    dims = ProblemDims(gp.n, gp.m, gp.p)
+    op = folded_operator(generate_probes(dims, rng.derive_seed(trial_seed, 1)))
+    target = _sparse_channel(
+        rng.derive_seed(trial_seed, 2), rng.derive_seed(trial_seed, 3), dims.signal_len, gp.s
+    )
+    if coded and cfg.block_difference:
+        # target holds sparse frame differences; the image is their block cumsum
+        image = functools.partial(_block_cumsum, p=gp.p, n=gp.n)
+        op = _FrameDifferenceOperator(op, gp.p, gp.n)
+        return _recover_and_score(
+            cfg, gi, gp, trial, start, op, target, image(target), to_image=image, psnr=True
+        )
+    return _recover_and_score(cfg, gi, gp, trial, start, op, target, target, psnr=coded)
 
 
 def _rip_trial(cfg, gi, gp, trial):
@@ -299,59 +308,24 @@ def _rip_trial(cfg, gi, gp, trial):
             note = "randomized_lower_bound"
     except BudgetError as exc:
         note = f"budget: {exc}"
-    return TrialRow(
-        grid_index=gi,
-        trial_index=trial,
-        seed=trial_seed,
-        n=gp.n,
-        m=gp.m,
-        p=gp.p,
-        s=gp.s,
-        epsilon=gp.epsilon,
-        method="snorm",
-        snorm=value,
-        note=note,
-        wall_time=time.perf_counter() - start,
-    )
+    return _row(gi, gp, trial, trial_seed, start, method="snorm", snorm=value, note=note)
+
+
+def _stability_instance(cfg, gp):
+    """(instance seed, channel) shared by every epsilon at one (n, m, p, s)."""
+    inst_seed = rng.derive_seed(cfg.base_seed, _STAB_TAG, gp.n, gp.m, gp.p, gp.s)
+    seeds = rng.derive_seed(inst_seed, 2), rng.derive_seed(inst_seed, 3)
+    size = gp.n * gp.p
+    if cfg.decay > 0.0:
+        return inst_seed, _powerlaw_channel(*seeds, size, cfg.decay)
+    return inst_seed, _sparse_channel(*seeds, size, gp.s)
 
 
 def _stability_trial(cfg, gi, gp, trial):
     start = time.perf_counter()
-    trial_seed = rng.derive_seed(cfg.base_seed, gi, trial)
-    inst_seed = rng.derive_seed(cfg.base_seed, _STAB_TAG, gp.n, gp.m, gp.p, gp.s)
-    dims = ProblemDims(gp.n, gp.m, gp.p)
-    probes = generate_probes(dims, rng.derive_seed(inst_seed, 1))
-    op = linear_operator(probes)
-    size = dims.signal_len
-    if cfg.decay > 0.0:
-        h = _powerlaw_channel(
-            rng.derive_seed(inst_seed, 2), rng.derive_seed(inst_seed, 3), size, cfg.decay
-        )
-    else:
-        h = _sparse_channel(
-            rng.derive_seed(inst_seed, 2), rng.derive_seed(inst_seed, 3), size, gp.s
-        )
-    y = op.apply(h)
-    if gp.epsilon > 0.0:
-        y = y + rng.noise_with_norm(rng.derive_seed(trial_seed, 4), y.size, gp.epsilon)
-    result = _solve(cfg, op, y, gp, true_support=np.flatnonzero(h))
-    rel = _relative_error(result.x_hat, h)
-    return TrialRow(
-        grid_index=gi,
-        trial_index=trial,
-        seed=trial_seed,
-        n=gp.n,
-        m=gp.m,
-        p=gp.p,
-        s=gp.s,
-        epsilon=gp.epsilon,
-        method=cfg.method,
-        relative_error=rel,
-        residual=result.residual_norm,
-        success=bool(result.converged and rel < cfg.success_threshold),
-        converged=bool(result.converged),
-        wall_time=time.perf_counter() - start,
-    )
+    inst_seed, h = _stability_instance(cfg, gp)
+    probes = generate_probes(ProblemDims(gp.n, gp.m, gp.p), rng.derive_seed(inst_seed, 1))
+    return _recover_and_score(cfg, gi, gp, trial, start, linear_operator(probes), h, h)
 
 
 def _run_tasks(fn, cfg, points, threads, only=None):
@@ -361,7 +335,7 @@ def _run_tasks(fn, cfg, points, threads, only=None):
         for t in range(cfg.trials)
         if only is None or (gi, t) in only
     ]
-    if threads and threads > 1:
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(lambda gt: fn(cfg, gt[0], points[gt[0]], gt[1]), tasks))
     else:
@@ -409,7 +383,7 @@ def _aggregate(points, rows):
     return {"per_point": per_point}
 
 
-def _slope_fits(cfg, points, aggregates):
+def _slope_fits(points, aggregates):
     """Least-squares slope of log(mean snorm) against log(m) per (n,p,s)."""
     fits = []
     combos = sorted({(pt.n, pt.p, pt.s) for pt in points})
@@ -434,16 +408,7 @@ def _stability_fit(cfg, points, rows):
     h_norm = {}
     tail = {}
     for gi, pt in enumerate(points):
-        inst_seed = rng.derive_seed(cfg.base_seed, _STAB_TAG, pt.n, pt.m, pt.p, pt.s)
-        size = pt.n * pt.p
-        if cfg.decay > 0.0:
-            h = _powerlaw_channel(
-                rng.derive_seed(inst_seed, 2), rng.derive_seed(inst_seed, 3), size, cfg.decay
-            )
-        else:
-            h = _sparse_channel(
-                rng.derive_seed(inst_seed, 2), rng.derive_seed(inst_seed, 3), size, pt.s
-            )
+        _, h = _stability_instance(cfg, pt)
         h_norm[gi] = float(np.linalg.norm(h))
         tail[gi] = _tail_term(h, pt.s)
     errors = []
@@ -470,35 +435,6 @@ def _stability_fit(cfg, points, rows):
     }
 
 
-def run_rip_scaling(cfg, threads=1, only=None, reuse=()):
-    points = grid_points(cfg)
-    rows = _merge(_run_tasks(_rip_trial, cfg, points, threads, only), reuse)
-    agg = _aggregate(points, rows)
-    agg["fits"] = _slope_fits(cfg, points, agg)
-    return ExperimentRecord(config=cfg, trials=rows, aggregates=agg)
-
-
-def run_phase_transition(cfg, threads=1, only=None, reuse=()):
-    points = grid_points(cfg)
-    rows = _merge(_run_tasks(_recovery_trial, cfg, points, threads, only), reuse)
-    return ExperimentRecord(config=cfg, trials=rows, aggregates=_aggregate(points, rows))
-
-
-def run_stability(cfg, threads=1, only=None, reuse=()):
-    points = grid_points(cfg)
-    rows = _merge(_run_tasks(_stability_trial, cfg, points, threads, only), reuse)
-    agg = _aggregate(points, rows)
-    agg["stability_fit"] = _stability_fit(cfg, points, rows)
-    return ExperimentRecord(config=cfg, trials=rows, aggregates=agg)
-
-
-def run_coded_aperture(cfg, threads=1, only=None, reuse=()):
-    points = grid_points(cfg)
-    fn = lambda c, gi, gp, t: _recovery_trial(c, gi, gp, t, coded=True)
-    rows = _merge(_run_tasks(fn, cfg, points, threads, only), reuse)
-    return ExperimentRecord(config=cfg, trials=rows, aggregates=_aggregate(points, rows))
-
-
 def _merge(rows, reuse):
     if not reuse:
         return rows
@@ -508,32 +444,40 @@ def _merge(rows, reuse):
     return [merged[key] for key in sorted(merged)]
 
 
-_RUNNERS = {
-    "rip_scaling": run_rip_scaling,
-    "phase_transition": run_phase_transition,
-    "stability": run_stability,
-    "coded_aperture": run_coded_aperture,
-}
+def _trial_fn(kind):
+    """The trial function of an experiment kind.
+
+    The names are looked up on every call, so a wrapper bound to this
+    module's ``_rip_trial`` or ``_recovery_trial`` sees every trial.
+    """
+    if kind == "rip_scaling":
+        return _rip_trial
+    if kind == "stability":
+        return _stability_trial
+    if kind == "coded_aperture":
+        return functools.partial(_recovery_trial, coded=True)
+    return _recovery_trial
 
 
 def run_experiment(cfg, threads=1, only=None, reuse=()):
-    """Dispatch to the configured harness.
+    """Run the trials of ``cfg.kind`` over the config's grid and aggregate them.
 
     ``only`` restricts execution to a set of (grid_index, trial_index)
     pairs; ``reuse`` supplies already-computed TrialRows (resume support).
     Identical config and base_seed give an identical record up to
     wall_time regardless of threads.
     """
-    return _RUNNERS[cfg.kind](cfg, threads=threads, only=only, reuse=reuse)
+    points = grid_points(cfg)
+    rows = _merge(_run_tasks(_trial_fn(cfg.kind), cfg, points, threads, only), reuse)
+    agg = _aggregate(points, rows)
+    if cfg.kind == "rip_scaling":
+        agg["fits"] = _slope_fits(points, agg)
+    elif cfg.kind == "stability":
+        agg["stability_fit"] = _stability_fit(cfg, points, rows)
+    return ExperimentRecord(config=cfg, trials=rows, aggregates=agg)
 
 
 def replay_trial(cfg, grid_index, trial_index):
     """Re-run one trial in isolation; equals the full run's row (mod time)."""
-    points = grid_points(cfg)
-    point = points[grid_index]
-    if cfg.kind == "rip_scaling":
-        return _rip_trial(cfg, grid_index, point, trial_index)
-    if cfg.kind == "stability":
-        return _stability_trial(cfg, grid_index, point, trial_index)
-    coded = cfg.kind == "coded_aperture"
-    return _recovery_trial(cfg, grid_index, point, trial_index, coded=coded)
+    point = grid_points(cfg)[grid_index]
+    return _trial_fn(cfg.kind)(cfg, grid_index, point, trial_index)

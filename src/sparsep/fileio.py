@@ -6,12 +6,14 @@ significant digits so that write-then-read round-trips every value
 exactly.  Metadata (configs, results, manifests) is plain JSON.
 
 Formats (all carry ``format_version``; readers reject other major
-versions):
+versions, and raise FormatError on unparsable samples or on missing or
+ill-typed header keys):
 
 * probes        -- header {kind, n, m, p, seed}; p*m samples, row-major
   by source then time.
-* channels      -- header {kind, n, p, receiver_id}; n*p samples, blocks
-  concatenated by source.
+* channels      -- header {kind, n, p}; n*p samples, blocks concatenated
+  by source.  Readers ignore extra header keys, such as the
+  ``receiver_id`` older files carry.
 * measurements  -- header {kind, variant, n, m, p, epsilon}; m+n-1
   (linear) or m (folded) samples.
 * recovery JSON -- RecoveryResult fields plus the estimate as CSV.
@@ -27,7 +29,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .errors import DimensionError, FormatError
+from .errors import DataError, DimensionError, FormatError
 from .experiments import ExperimentConfig, TrialRow
 from .probes import ProblemDims, ProbeSet
 
@@ -74,6 +76,13 @@ def write_vector_file(path, header, values):
             fh.write("\n")
 
 
+def _header_int(header, key, path):
+    value = header.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise FormatError(f"{path}: header {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def read_vector_file(path):
     with open(path) as fh:
         first = fh.readline()
@@ -81,8 +90,13 @@ def read_vector_file(path):
             header = json.loads(first)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: bad header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise FormatError(f"{path}: header must be a JSON object")
         _check_version(header, path)
-        values = np.array([float(line) for line in fh if line.strip()])
+        try:
+            values = np.array([float(line) for line in fh if line.strip()])
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad sample: {exc}") from exc
     return header, values
 
 
@@ -101,20 +115,21 @@ def read_probes(path):
     header, values = read_vector_file(path)
     if header.get("kind") != "probes":
         raise FormatError(f"{path}: not a probes file")
-    dims = ProblemDims(n=header["n"], m=header["m"], p=header["p"])
+    n, m, p = (_header_int(header, key, path) for key in ("n", "m", "p"))
+    dims = ProblemDims(n=n, m=m, p=p)
     if values.size != dims.p * dims.m:
         raise FormatError(
             f"{path}: expected {dims.p * dims.m} samples, found {values.size}"
         )
     phi = values.reshape(dims.p, dims.m)
-    return ProbeSet.from_time_samples(dims, header["seed"], phi)
+    return ProbeSet.from_time_samples(dims, _header_int(header, "seed", path), phi)
 
 
-def write_channels(path, n, p, h, receiver_id=0):
+def write_channels(path, n, p, h):
     h = np.asarray(h, dtype=np.float64)
     if h.size != n * p:
         raise DimensionError(f"channel vector must have length {n * p}, got {h.size}")
-    header = {"kind": "channels", "n": int(n), "p": int(p), "receiver_id": int(receiver_id)}
+    header = {"kind": "channels", "n": int(n), "p": int(p)}
     write_vector_file(path, header, h)
 
 
@@ -122,8 +137,10 @@ def read_channels(path):
     header, values = read_vector_file(path)
     if header.get("kind") != "channels":
         raise FormatError(f"{path}: not a channels file")
-    if values.size != header["n"] * header["p"]:
+    if values.size != _header_int(header, "n", path) * _header_int(header, "p", path):
         raise FormatError(f"{path}: sample count does not match n*p")
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{path}: channel vector contains non-finite samples")
     return header, values
 
 
@@ -143,8 +160,15 @@ def read_measurements(path):
     header, values = read_vector_file(path)
     if header.get("kind") != "measurements":
         raise FormatError(f"{path}: not a measurements file")
-    n, m = header["n"], header["m"]
-    expected = m if header["variant"] == "folded" else m + n - 1
+    n, m, _ = (_header_int(header, key, path) for key in ("n", "m", "p"))
+    variant = header.get("variant")
+    if variant not in ("linear", "folded"):
+        raise FormatError(f"{path}: header 'variant' must be 'linear' or 'folded', got {variant!r}")
+    epsilon = header.get("epsilon", 0.0)
+    numeric = isinstance(epsilon, (int, float)) and not isinstance(epsilon, bool)
+    if not (numeric and np.isfinite(epsilon)):
+        raise FormatError(f"{path}: header 'epsilon' must be a finite number, got {epsilon!r}")
+    expected = m if variant == "folded" else m + n - 1
     if values.size != expected:
         raise FormatError(f"{path}: expected {expected} samples, found {values.size}")
     return header, values
@@ -170,42 +194,12 @@ def write_recovery(json_path, csv_path, result, meta=None):
         write_vector_file(csv_path, {"kind": "estimate"}, result.x_hat)
 
 
-def write_dense_csv(path, matrix):
-    """Debug export of a dense operator matrix.
-
-    Row-major, comma separated, with a comment line carrying the shape.
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w") as fh:
-        fh.write(f"# rows={matrix.shape[0]} cols={matrix.shape[1]}\n")
-        for row in matrix:
-            fh.write(",".join(fmt_float(x) for x in row))
-            fh.write("\n")
-
-
-def read_dense_csv(path):
-    with open(path) as fh:
-        first = fh.readline()
-        if not first.startswith("#"):
-            raise FormatError(f"{path}: missing shape comment line")
-        rows = [
-            [float(tok) for tok in line.split(",")] for line in fh if line.strip()
-        ]
-    return np.asarray(rows)
-
-
 def config_hash(config):
     """Stable hash: sha256 of the canonical (sorted, compact) config JSON."""
     if isinstance(config, ExperimentConfig):
         config = config.to_dict()
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def load_config(path):
-    with open(path) as fh:
-        raw = json.load(fh)
-    return ExperimentConfig.from_dict(raw)
 
 
 def write_record_json(path, record):

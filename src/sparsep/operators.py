@@ -200,9 +200,3 @@ def build_dense_folded(probes, limit=None):
     blocks = [probes.phi[k][idx] for k in range(d.p)]
     return np.concatenate(blocks, axis=1)
 
-
-def build_dense(op, limit=None):
-    """Dense matrix of either operator variant."""
-    if op.variant is Variant.FOLDED:
-        return build_dense_folded(op.probes, limit)
-    return build_dense_linear(op.probes, limit)

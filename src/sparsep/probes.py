@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import DimensionError
+from .errors import DataError, DimensionError
 
 
 @dataclass(frozen=True)
 class ProblemDims:
-    """Problem sizes: channel length n, probe length m, p sources, r receivers.
+    """Problem sizes: channel length n, probe length m, p sources.
 
     The folding construction requires m >= n.
     """
@@ -29,10 +29,9 @@ class ProblemDims:
     n: int
     m: int
     p: int
-    r: int = 1
 
     def __post_init__(self):
-        for name in ("n", "m", "p", "r"):
+        for name in ("n", "m", "p"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise DimensionError(f"{name} must be an integer, got {value!r}")
@@ -94,6 +93,8 @@ class ProbeSet:
             raise DimensionError(
                 f"phi must have shape {(dims.p, dims.m)}, got {phi.shape}"
             )
+        if not np.all(np.isfinite(phi)):
+            raise DataError("phi contains non-finite samples")
         g = _spectra(phi, dims.n)
         return cls(dims=dims, seed=int(seed), phi=_freeze(phi), g=_freeze(g))
 
@@ -109,20 +110,3 @@ def generate_probes(dims, seed):
     phi = rng.gaussians(seed, (dims.p, dims.m), scale=dims.m**-0.5)
     return ProbeSet.from_time_samples(dims, seed, phi)
 
-
-def probe_spectrum(probes):
-    """Spectral diagonals g, shape (p, m).
-
-    These are exactly the diagonals for which each dense folded block
-    equals ``F* G_k F[:, :n]``; see the operators module tests.
-    """
-    return probes.g
-
-
-def empirical_spectrum_stats(probes):
-    """Mean of |g_k(w)|^2 over sources, per frequency bin (length m).
-
-    The spectral entries have unit second moment, so for large p every
-    bin of the report concentrates near 1.
-    """
-    return np.mean(np.abs(probes.g) ** 2, axis=0)

@@ -6,7 +6,7 @@
   the residual lands on the noise budget.  eps = 0 is handled by driving
   the residual down to feas_tol * ||y|| instead of literal zero.
 * :func:`solve_iht` -- iterative hard thresholding
-  x <- H_s(x + mu * Phi^T (y - Phi x)), fixed or backtracked step.
+  x <- H_s(x + mu * Phi^T (y - Phi x)) with a backtracked step.
 * :func:`solve_oracle_ls` -- least squares restricted to a known support;
   the information-unbeatable baseline.
 * :func:`reference_bpdn` -- slow, algorithmically independent solution of
@@ -23,9 +23,6 @@ from scipy.optimize import linprog, minimize
 
 from .errors import BudgetError, DataError, DimensionError, ParameterError
 
-STEP_FIXED = "fixed"
-STEP_ADAPTIVE = "adaptive"
-
 _POWER_SEED_VECTOR = 0x5EED
 
 
@@ -38,7 +35,6 @@ class SolverConfig:
     feas_tol: float = 1e-6
     opt_tol: float = 1e-8
     s_target: int = 0
-    step_mode: str = STEP_ADAPTIVE
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -47,8 +43,6 @@ class SolverConfig:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.feas_tol <= 0 or self.opt_tol <= 0:
             raise ParameterError("tolerances must be positive")
-        if self.step_mode not in (STEP_FIXED, STEP_ADAPTIVE):
-            raise ParameterError(f"unknown step_mode {self.step_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -255,9 +249,9 @@ def solve_bpdn(op, y, cfg):
 def solve_iht(op, y, cfg):
     """Iterative hard thresholding toward an s_target-sparse estimate.
 
-    Adaptive mode backtracks the step until the residual does not
-    increase; fixed mode uses 1/||Phi||^2.  Stops when the iterate change
-    drops below opt_tol * ||x|| or max_iter is reached.
+    Each step starts at 1/||Phi||^2 and is halved until the residual does
+    not increase.  Stops when the iterate change drops below
+    opt_tol * ||x|| or max_iter is reached.
     """
     y = _check_y(op, y)
     s = cfg.s_target
@@ -275,20 +269,15 @@ def solve_iht(op, y, cfg):
         it += 1
         grad = op.adjoint(r)
         mu = mu0
-        if cfg.step_mode == STEP_ADAPTIVE:
-            for _ in range(60):
-                x_new = hard_threshold(x + mu * grad, s)
-                r_new = y - op.apply(x_new)
-                r_new_norm = float(np.linalg.norm(r_new))
-                if r_new_norm <= r_norm * (1.0 + 1e-12):
-                    break
-                mu *= 0.5
-            else:
-                x_new = hard_threshold(x, s)
-                r_new = y - op.apply(x_new)
-                r_new_norm = float(np.linalg.norm(r_new))
-        else:
+        for _ in range(60):
             x_new = hard_threshold(x + mu * grad, s)
+            r_new = y - op.apply(x_new)
+            r_new_norm = float(np.linalg.norm(r_new))
+            if r_new_norm <= r_norm * (1.0 + 1e-12):
+                break
+            mu *= 0.5
+        else:
+            x_new = hard_threshold(x, s)
             r_new = y - op.apply(x_new)
             r_new_norm = float(np.linalg.norm(r_new))
         step = float(np.linalg.norm(x_new - x))

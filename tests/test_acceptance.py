@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from sparsep import rng
 from sparsep.cli import main as cli_main
-from sparsep.experiments import ExperimentConfig, run_phase_transition, run_rip_scaling, run_stability
+from sparsep.experiments import ExperimentConfig, run_experiment
 from sparsep.operators import (
     FoldMap,
     build_dense_folded,
@@ -192,7 +192,7 @@ def test_criterion_08_exact_recovery_regime():
         success_threshold=1e-4, solver=SolverConfig(max_iter=5000),
     )
     start = time.perf_counter()
-    record = run_phase_transition(cfg, threads=2)
+    record = run_experiment(cfg, threads=2)
     elapsed = time.perf_counter() - start
     rate = record.aggregates["per_point"][0]["success_rate"]
     ok = rate >= 0.9 and rate == GOLDEN_SUCCESS_RATE and elapsed < 120.0
@@ -205,7 +205,7 @@ def test_criterion_09_scaling_law():
         n_grid=(4,), m_grid=(8, 16, 32, 64), p_grid=(2,), s_grid=(2,),
         trials=50, base_seed=2024,
     )
-    record = run_rip_scaling(cfg, threads=2)
+    record = run_experiment(cfg, threads=2)
     slope = record.aggregates["fits"][0]["slope"]
     ok = -0.65 <= slope <= -0.35
     _report(9, ok, f"log-mean-snorm vs log-m slope {slope:.4f} (theory -1/2)")
@@ -219,7 +219,7 @@ def test_criterion_10_stability_band():
         trials=50, base_seed=99, epsilon_grid=(eps, 2 * eps),
         solver=SolverConfig(max_iter=8000),
     )
-    record = run_stability(cfg, threads=2)
+    record = run_experiment(cfg, threads=2)
     medians = {pt["epsilon"]: pt["median_error"] for pt in record.aggregates["per_point"]}
     ratio = medians[2 * eps] / medians[eps]
     ok = 1.0 <= ratio <= 3.5

@@ -156,6 +156,26 @@ class TestRecover:
                                       "--out-json", str(tmp_path / "r.json")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("target, header_changes, sample", [
+        ("probes", {}, "abc"),
+        ("y", {}, "abc"),
+        ("y", {"variant": None}, None),
+        ("y", {"m": "16"}, None),
+        ("probes", {"n": "4"}, None),
+    ], ids=["probe-sample", "measurement-sample", "no-variant", "string-m", "string-n"])
+    def test_bad_input_file_exit_2(self, runner, tmp_path, target, header_changes, sample):
+        probes, y, _ = self.setup_instance(runner, tmp_path)
+        path = probes if target == "probes" else y
+        lines = path.read_text().splitlines()
+        header = dict(json.loads(lines[0]), **header_changes)
+        header = {k: v for k, v in header.items() if v is not None}
+        samples = lines[1:] if sample is None else [sample] + lines[2:]
+        path.write_text("\n".join([json.dumps(header)] + samples) + "\n")
+        result = runner.invoke(main, ["recover", "--probes", str(probes),
+                                      "--measurements", str(y), "--method", "bpdn",
+                                      "--out-json", str(tmp_path / "r.json")])
+        assert result.exit_code == 2, result.output
+
     def test_nonconvergence_exit_4(self, runner, tmp_path):
         probes, y, _ = self.setup_instance(runner, tmp_path, noise=0.0)
         result = runner.invoke(main, ["recover", "--probes", str(probes),
@@ -233,6 +253,15 @@ class TestExperiment:
         result = runner.invoke(main, ["experiment", "--config", str(cfg2),
                                       "--out-dir", str(out), "--resume"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_exit_2(self, runner, tmp_path, threads):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["experiment", "--config", str(cfg),
+                                      "--out-dir", str(out), "--threads", str(threads)])
+        assert result.exit_code == 2
+        assert not (out / "trials.csv").exists()
 
     def test_malformed_json_exit_2_with_position(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -11,12 +12,9 @@ from sparsep.experiments import (
     _point_summary,
     grid_points,
     replay_trial,
-    run_coded_aperture,
     run_experiment,
-    run_phase_transition,
-    run_rip_scaling,
-    run_stability,
 )
+from sparsep.fileio import write_trials_csv
 from sparsep.solvers import SolverConfig
 
 
@@ -85,10 +83,12 @@ class TestReproducibility:
         ]}
         assert json.dumps(_aggregate(points, rows)) == json.dumps(expected)
 
-    def test_replay_single_trial(self):
-        cfg = phase_cfg(trials=5)
+    @pytest.mark.parametrize("kind", ["phase_transition", "rip_scaling", "stability",
+                                      "coded_aperture"])
+    def test_replay_single_trial(self, kind):
+        cfg = phase_cfg(kind=kind, m_grid=(8, 12), trials=3, epsilon_grid=(0.05,))
         record = run_experiment(cfg)
-        for row in record.trials[:3]:
+        for row in record.trials:
             again = replay_trial(cfg, row.grid_index, row.trial_index)
             assert dataclasses.replace(again, wall_time=0.0) == dataclasses.replace(
                 row, wall_time=0.0
@@ -104,14 +104,14 @@ class TestPhaseTransition:
     def test_overdetermined_regime_high_success(self):
         # m >= n*p: folded system is square/overdetermined, recovery generic
         cfg = phase_cfg(n_grid=(4,), p_grid=(2,), m_grid=(8,), s_grid=(1,), trials=20)
-        record = run_phase_transition(cfg)
+        record = run_experiment(cfg)
         assert record.aggregates["per_point"][0]["success_rate"] >= 0.95
 
     def test_success_rate_monotone_in_m_within_noise(self):
         cfg = phase_cfg(
             n_grid=(4,), p_grid=(4,), m_grid=(6, 10, 14, 16), s_grid=(3,), trials=30
         )
-        record = run_phase_transition(cfg)
+        record = run_experiment(cfg)
         pts = record.aggregates["per_point"]
         for lo, hi in zip(pts, pts[1:]):
             slack = 2 * np.hypot(lo["binomial_se"], hi["binomial_se"])
@@ -119,7 +119,7 @@ class TestPhaseTransition:
 
     def test_zero_sparsity_trivial_success(self):
         cfg = phase_cfg(s_grid=(0,), trials=4)
-        record = run_phase_transition(cfg)
+        record = run_experiment(cfg)
         assert record.aggregates["per_point"][0]["success_rate"] == 1.0
         assert all(t.relative_error == 0.0 for t in record.trials)
 
@@ -128,18 +128,18 @@ class TestPhaseTransition:
             s_grid=(2,), m_grid=(8,), p_grid=(4,), trials=4,
             solver=SolverConfig(max_iter=3),
         )
-        record = run_phase_transition(cfg)
+        record = run_experiment(cfg)
         assert all((not t.converged) and (not t.success) for t in record.trials)
 
     def test_iht_method(self):
         cfg = phase_cfg(method="iht", m_grid=(16,), trials=6,
                         solver=SolverConfig(max_iter=2000))
-        record = run_phase_transition(cfg)
+        record = run_experiment(cfg)
         assert record.aggregates["per_point"][0]["success_rate"] >= 0.5
 
     def test_oracle_method_perfect(self):
         cfg = phase_cfg(method="oracle", trials=6)
-        record = run_phase_transition(cfg)
+        record = run_experiment(cfg)
         assert record.aggregates["per_point"][0]["success_rate"] == 1.0
 
 
@@ -149,8 +149,8 @@ class TestRipScaling:
             kind="rip_scaling", n_grid=(4,), m_grid=(8,), p_grid=(2,), s_grid=(2,),
             trials=1, base_seed=12,
         )
-        a = run_rip_scaling(cfg)
-        b = run_rip_scaling(cfg)
+        a = run_experiment(cfg)
+        b = run_experiment(cfg)
         assert a.trials[0].snorm == b.trials[0].snorm
 
     def test_slope_near_minus_half(self):
@@ -158,7 +158,7 @@ class TestRipScaling:
             kind="rip_scaling", n_grid=(4,), m_grid=(8, 16, 32, 64), p_grid=(2,),
             s_grid=(2,), trials=25, base_seed=2024,
         )
-        record = run_rip_scaling(cfg)
+        record = run_experiment(cfg)
         slope = record.aggregates["fits"][0]["slope"]
         assert -0.65 <= slope <= -0.35
 
@@ -167,7 +167,7 @@ class TestRipScaling:
             kind="rip_scaling", n_grid=(4,), m_grid=(16,), p_grid=(2,),
             s_grid=(1, 2, 3), trials=10, base_seed=5,
         )
-        record = run_rip_scaling(cfg)
+        record = run_experiment(cfg)
         means = [pt["mean_snorm"] for pt in record.aggregates["per_point"]]
         assert means[0] <= means[1] <= means[2]
 
@@ -176,7 +176,7 @@ class TestRipScaling:
             kind="rip_scaling", n_grid=(8,), m_grid=(16,), p_grid=(8,),
             s_grid=(4,), trials=1, base_seed=1,
         )
-        record = run_rip_scaling(cfg)  # C(64,4)*64 ops exceed nothing; force via env instead
+        record = run_experiment(cfg)  # C(64,4)*64 ops exceed nothing; force via env instead
         assert record.trials[0].snorm is not None
 
     def test_budget_error_flagged(self, monkeypatch):
@@ -185,7 +185,7 @@ class TestRipScaling:
             kind="rip_scaling", n_grid=(4,), m_grid=(8,), p_grid=(2,), s_grid=(2,),
             trials=2, base_seed=1,
         )
-        record = run_rip_scaling(cfg)
+        record = run_experiment(cfg)
         assert all(t.snorm is None and t.note.startswith("budget") for t in record.trials)
 
 
@@ -195,7 +195,7 @@ class TestStability:
             kind="stability", n_grid=(8,), m_grid=(48,), p_grid=(2,), s_grid=(2,),
             trials=3, base_seed=99, epsilon_grid=(0.0,),
         )
-        record = run_stability(cfg)
+        record = run_experiment(cfg)
         assert record.aggregates["per_point"][0]["median_error"] <= 1e-5
 
     def test_error_ratio_band_and_fit(self):
@@ -204,7 +204,7 @@ class TestStability:
             kind="stability", n_grid=(8,), m_grid=(48,), p_grid=(2,), s_grid=(2,),
             trials=20, base_seed=99, epsilon_grid=(eps, 2 * eps),
         )
-        record = run_stability(cfg)
+        record = run_experiment(cfg)
         meds = {pt["epsilon"]: pt["median_error"] for pt in record.aggregates["per_point"]}
         ratio = meds[2 * eps] / meds[eps]
         assert 1.0 <= ratio <= 3.5
@@ -218,7 +218,7 @@ class TestStability:
             kind="stability", n_grid=(8,), m_grid=(48,), p_grid=(2,), s_grid=(2,),
             trials=3, base_seed=7, epsilon_grid=(0.05,), decay=1.5,
         )
-        record = run_stability(cfg)
+        record = run_experiment(cfg)
         fit = record.aggregates["stability_fit"]
         assert all(v > 0.0 for v in fit["tail_terms"].values())
 
@@ -227,7 +227,7 @@ class TestStability:
             kind="stability", n_grid=(8,), m_grid=(48,), p_grid=(2,), s_grid=(2,),
             trials=2, base_seed=4, epsilon_grid=(0.01, 0.02),
         )
-        record = run_stability(cfg)
+        record = run_experiment(cfg)
         norms = record.aggregates["stability_fit"]["h_norms"]
         assert norms["0"] == norms["1"]
 
@@ -238,7 +238,7 @@ class TestCodedAperture:
             kind="coded_aperture", n_grid=(8,), m_grid=(16,), p_grid=(2,),
             s_grid=(2,), trials=12, base_seed=31,
         )
-        record = run_coded_aperture(cfg)
+        record = run_experiment(cfg)
         assert record.aggregates["per_point"][0]["success_rate"] >= 0.99
 
     def test_all_zero_image_exact(self):
@@ -246,7 +246,7 @@ class TestCodedAperture:
             kind="coded_aperture", n_grid=(8,), m_grid=(16,), p_grid=(2,),
             s_grid=(0,), trials=3, base_seed=2,
         )
-        record = run_coded_aperture(cfg)
+        record = run_experiment(cfg)
         assert all(t.relative_error == 0.0 and t.success for t in record.trials)
         assert all(t.psnr is None for t in record.trials)  # zero MSE
 
@@ -255,7 +255,7 @@ class TestCodedAperture:
             kind="coded_aperture", n_grid=(8,), m_grid=(12,), p_grid=(2,),
             s_grid=(2,), trials=4, base_seed=8,
         )
-        record = run_coded_aperture(cfg)
+        record = run_experiment(cfg)
         assert any(t.psnr is not None for t in record.trials)
 
     def test_block_difference_mode(self):
@@ -263,7 +263,7 @@ class TestCodedAperture:
             kind="coded_aperture", n_grid=(8,), m_grid=(12,), p_grid=(4,),
             s_grid=(3,), trials=8, base_seed=12, block_difference=True,
         )
-        record = run_coded_aperture(cfg)
+        record = run_experiment(cfg)
         # frame differences are sparse; the image itself is not
         assert record.aggregates["per_point"][0]["success_rate"] >= 0.7
 
@@ -275,5 +275,60 @@ def test_coded_aperture_preset_calibrated_rate():
         kind="coded_aperture", n_grid=(16,), m_grid=(48,), p_grid=(4,),
         s_grid=(6,), trials=25, base_seed=31, solver=SolverConfig(max_iter=8000),
     )
-    record = run_coded_aperture(cfg, threads=2)
+    record = run_experiment(cfg, threads=2)
     assert record.aggregates["per_point"][0]["success_rate"] >= 0.8
+
+
+# One tiny config per kind (plus IHT and the block-difference preset); the
+# sha256 of trials.csv and of the sorted-key aggregates JSON were recorded
+# when each kind still had its own runner, so a change to trial selection,
+# seeding or aggregation shows here.
+FROZEN_RECORDS = {
+    "phase_transition": (
+        dict(kind="phase_transition", n_grid=(4,), m_grid=(8,), p_grid=(2,), s_grid=(1, 2),
+             trials=2, base_seed=3),
+        "b129f2e2bdadca06a50922c89c9588c911ad08015414a5fc5f0323507f346193",
+        "a5eeda278809002c617947dc30299d770b106a8c79bea7dfa319441f7de3f121",
+    ),
+    "phase_transition_iht": (
+        dict(kind="phase_transition", n_grid=(4,), m_grid=(12,), p_grid=(2,), s_grid=(2,),
+             trials=2, base_seed=3, method="iht", solver=SolverConfig(max_iter=500)),
+        "2ec360ebe76b7e6ad56b6b46553a88007ab31d935fed22315106761518109a8e",
+        "a341c810944151b63a05bc199773ee2afc5fa6b2abd19d6728890e8e171d4bba",
+    ),
+    "rip_scaling": (
+        dict(kind="rip_scaling", n_grid=(4,), m_grid=(8, 16), p_grid=(2,), s_grid=(2,),
+             trials=2, base_seed=12),
+        "d19ba1551496149eea14509258e5456a4252fb06209162545ddee68bd986fe20",
+        "c3485924e7738d1d8c57385392a4892baa1a4328ef9e9700cf5951791d5ee836",
+    ),
+    "stability": (
+        dict(kind="stability", n_grid=(4,), m_grid=(12,), p_grid=(2,), s_grid=(1,),
+             trials=2, base_seed=5, epsilon_grid=(0.0, 0.05), decay=1.5),
+        "d10c211845c8ceae0b3e4a3a9ae645de0417ba45aa047defe9f49de64f4b1e89",
+        "f00e553e7ad865585db9d40868aa77ecb777dbd50c6624c52699f447bd6e53b5",
+    ),
+    "coded_aperture": (
+        dict(kind="coded_aperture", n_grid=(4,), m_grid=(8,), p_grid=(2,), s_grid=(2,),
+             trials=2, base_seed=8),
+        "fa60f77f9ca280d621205d20f8951ff01538cd73f6d5f6d3c8fe5a09d6af7dcb",
+        "da2f1973da799591218a8ac396e00047d1357cd117a13bd30b59a71d892a3b76",
+    ),
+    "coded_aperture_block_difference": (
+        dict(kind="coded_aperture", n_grid=(4,), m_grid=(8,), p_grid=(2,), s_grid=(2,),
+             trials=2, base_seed=12, block_difference=True),
+        "073d1022aa9ac406241c9c3ff3469bed28a55732588d7bced26e22e819e9bb0d",
+        "5c0693098688cb192e2784b726e88f9dd504941aeb846470fa3c3458f2269970",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_RECORDS))
+def test_frozen_record(name, tmp_path):
+    config, trials_sha, aggregates_sha = FROZEN_RECORDS[name]
+    record = run_experiment(ExperimentConfig(**config))
+    path = tmp_path / "trials.csv"
+    write_trials_csv(path, record.trials)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == trials_sha
+    aggregates = json.dumps(record.aggregates, sort_keys=True).encode()
+    assert hashlib.sha256(aggregates).hexdigest() == aggregates_sha

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparsep import fileio
-from sparsep.errors import FormatError
+from sparsep.errors import DataError, FormatError
 from sparsep.experiments import ExperimentConfig, TrialRow
 from sparsep.probes import ProblemDims, generate_probes
 
@@ -134,12 +134,77 @@ def test_manifest_roundtrip(tmp_path):
     assert manifest["tool_version"] == "0.1.0"
 
 
-def test_dense_csv_roundtrip(tmp_path):
-    from sparsep.operators import build_dense_folded
+def test_channels_header_fields(tmp_path):
+    path = tmp_path / "h.csv"
+    fileio.write_channels(path, n=2, p=3, h=np.zeros(6))
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header == {"format_version": 1, "kind": "channels", "n": 2, "p": 3}
 
-    ps = generate_probes(ProblemDims(3, 6, 2), 4)
-    dense = build_dense_folded(ps)
-    path = tmp_path / "dense.csv"
-    fileio.write_dense_csv(path, dense)
-    assert path.read_text().startswith("# rows=6 cols=6\n")
-    assert np.array_equal(fileio.read_dense_csv(path), dense)
+
+def test_channels_reader_accepts_receiver_id(tmp_path):
+    # files written before the field was dropped still read
+    path = tmp_path / "h.csv"
+    path.write_text('{"format_version": 1, "kind": "channels", "n": 1, "p": 2, '
+                    '"receiver_id": 0}\n0.5\n-1\n')
+    header, h = fileio.read_channels(path)
+    assert np.array_equal(h, [0.5, -1.0]) and header["n"] == 1
+
+
+def test_non_finite_channel_sample_rejected(tmp_path):
+    path = tmp_path / "h.csv"
+    path.write_text('{"format_version": 1, "kind": "channels", "n": 1, "p": 2}\nnan\n1\n')
+    with pytest.raises(DataError):
+        fileio.read_channels(path)
+
+
+def write_probe_file(path, header_changes=None, samples=None):
+    header = {"format_version": 1, "kind": "probes", "n": 2, "m": 4, "p": 1, "seed": 0}
+    header.update(header_changes or {})
+    header = {k: v for k, v in header.items() if v is not None}
+    samples = samples if samples is not None else ["0.25"] * 4
+    path.write_text(json.dumps(header) + "\n" + "\n".join(samples) + "\n")
+
+
+def test_non_finite_probe_sample_rejected(tmp_path):
+    path = tmp_path / "p.csv"
+    write_probe_file(path, samples=["0.25", "nan", "0.25", "0.25"])
+    with pytest.raises(DataError):
+        fileio.read_probes(path)
+
+
+def test_unparsable_sample_rejected(tmp_path):
+    path = tmp_path / "p.csv"
+    write_probe_file(path, samples=["0.25", "abc", "0.25", "0.25"])
+    with pytest.raises(FormatError):
+        fileio.read_probes(path)
+
+
+@pytest.mark.parametrize("changes", [{"m": "4"}, {"n": None}, {"p": 1.0}, {"seed": "x"},
+                                     {"n": True}])
+def test_probe_header_types_checked(tmp_path, changes):
+    path = tmp_path / "p.csv"
+    write_probe_file(path, changes)
+    with pytest.raises(FormatError):
+        fileio.read_probes(path)
+
+
+@pytest.mark.parametrize("changes", [{"variant": None}, {"variant": "circular"},
+                                     {"m": "6"}, {"n": None}, {"p": None},
+                                     {"epsilon": "0.1"}])
+def test_measurement_header_types_checked(tmp_path, changes):
+    path = tmp_path / "y.csv"
+    fileio.write_measurements(path, ProblemDims(3, 6, 2), "folded", np.zeros(6))
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    header.update(changes)
+    header = {k: v for k, v in header.items() if v is not None}
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+    with pytest.raises(FormatError):
+        fileio.read_measurements(path)
+
+
+def test_header_must_be_an_object(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("[1, 2]\n0.5\n")
+    with pytest.raises(FormatError):
+        fileio.read_vector_file(path)

@@ -251,10 +251,3 @@ def test_variant_enum_roundtrip():
     assert op.variant is Variant.FOLDED
     assert op.output_len == 4
 
-
-def test_build_dense_dispatches_on_variant():
-    from sparsep.operators import build_dense
-
-    ps = generate_probes(ProblemDims(3, 6, 2), 1)
-    assert np.array_equal(build_dense(linear_operator(ps)), build_dense_linear(ps))
-    assert np.array_equal(build_dense(folded_operator(ps)), build_dense_folded(ps))

@@ -3,10 +3,13 @@
 ``perfbench/smoke.py`` exercises the traced runs end to end but takes
 about a minute; this binds and restores every traced name in a second,
 so a rename in the library fails here instead of breaking ``--trace 1``.
+It also checks that every Monte Carlo trial still records its span.
 """
 
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 if PERFBENCH not in sys.path:
@@ -19,3 +22,21 @@ def test_tracer_binds_and_restores_every_name():
     with tracer.Patch() as patch:
         tracer.instrument(patch, tracer.Recorder())
     assert patch.restored()
+
+
+@pytest.mark.parametrize("kind", ["phase_transition", "rip_scaling", "coded_aperture"])
+def test_one_trial_span_per_trial(kind):
+    # the runner must look its trial functions up when it runs, or the
+    # traced run loses its per-trial spans
+    from sparsep import ExperimentConfig, run_experiment
+
+    cfg = ExperimentConfig(kind=kind, n_grid=(4,), m_grid=(8,), p_grid=(2,), s_grid=(1, 2),
+                           trials=2, base_seed=5)
+    recorder = tracer.Recorder()
+    with tracer.Patch() as patch:
+        tracer.instrument(patch, recorder)
+        with recorder.span("test", "test"):
+            record = run_experiment(cfg)
+    trials = sorted(s[3] for s in recorder.spans if s[1] == "experiments.trial")
+    assert trials == sorted(f"test/g{r.grid_index}/t{r.trial_index}" for r in record.trials)
+    assert len(trials) == 4
