@@ -3,7 +3,8 @@
 Dense matrices and support enumeration are test/diagnostic tools; the
 budgets keep them from sneaking O((np)^2) memory or combinatorial blowups
 into experiment paths.  The environment variable ``SPARSEP_WORK_LIMIT``,
-when set to a positive integer, overrides both budgets at once.
+when set to a positive integer, replaces both budgets at once; it is the
+only way to change them.
 """
 
 import os
@@ -29,35 +30,31 @@ def _env_override():
     return value
 
 
-def dense_limit(override=None):
+def dense_limit():
     """Element-count budget for dense operator matrices."""
-    if override is not None:
-        return int(override)
     env = _env_override()
     return env if env is not None else DENSE_ELEMENT_LIMIT
 
 
-def enum_limit(override=None):
+def enum_limit():
     """Elementary-operation budget for exhaustive support enumeration."""
-    if override is not None:
-        return int(override)
     env = _env_override()
     return env if env is not None else ENUM_OP_LIMIT
 
 
-def check_dense(n_elements, override=None, what="dense matrix"):
-    limit = dense_limit(override)
+def check_dense(n_elements, what="dense matrix"):
+    limit = dense_limit()
     if n_elements > limit:
         raise BudgetError(
             f"{what} needs {n_elements} elements, over the budget of {limit}; "
-            f"raise the limit explicitly or set {_ENV_VAR}"
+            f"set {_ENV_VAR} to raise it"
         )
 
 
-def check_enum(n_ops, override=None, what="support enumeration"):
-    limit = enum_limit(override)
+def check_enum(n_ops, what="support enumeration"):
+    limit = enum_limit()
     if n_ops > limit:
         raise BudgetError(
             f"{what} needs ~{n_ops} operations, over the budget of {limit}; "
-            f"raise the limit explicitly or set {_ENV_VAR}"
+            f"set {_ENV_VAR} to raise it"
         )

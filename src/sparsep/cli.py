@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 usage/validation error, 3 I/O error,
 flags or config fields; nothing is seeded from the clock.
 """
 
+import collections
 import datetime
 import json
 import sys
@@ -65,9 +66,10 @@ def gen_probes(n, m, p, seed, out):
     )
 
 
-def _load_probes(path):
+def _read(reader, path):
+    """``reader(path)`` with I/O errors as exit 3 and bad content as exit 2."""
     try:
-        return _guard_io(fileio.read_probes, path)
+        return _guard_io(reader, path)
     except SparsepError as exc:
         _usage(str(exc))
 
@@ -91,15 +93,12 @@ def _load_probes(path):
 def simulate(probes_path, channels_path, sparsity, channel_seed, noise_eps,
              noise_seed, out, folded_out, save_channels):
     """Form y = Phi_lin h (+ optional exact-norm noise) from a probe file."""
-    probes = _load_probes(probes_path)
+    probes = _read(fileio.read_probes, probes_path)
     dims = probes.dims
     if (channels_path is None) == (sparsity is None):
         _usage("provide exactly one of --channels or --random-sparse")
     if channels_path is not None:
-        try:
-            header, h = _guard_io(fileio.read_channels, channels_path)
-        except SparsepError as exc:
-            _usage(str(exc))
+        header, h = _read(fileio.read_channels, channels_path)
         if (header["n"], header["p"]) != (dims.n, dims.p):
             _usage(
                 f"channel dims (n={header['n']}, p={header['p']}) do not match "
@@ -149,11 +148,8 @@ def simulate(probes_path, channels_path, sparsity, channel_seed, noise_eps,
 def recover(probes_path, meas_path, method, epsilon, s_target, support,
             max_iter, out_json, out_csv):
     """Recover the channel vector from a measurement file."""
-    probes = _load_probes(probes_path)
-    try:
-        header, y = _guard_io(fileio.read_measurements, meas_path)
-    except SparsepError as exc:
-        _usage(str(exc))
+    probes = _read(fileio.read_probes, probes_path)
+    header, y = _read(fileio.read_measurements, meas_path)
     dims = probes.dims
     if (header["n"], header["m"], header["p"]) != (dims.n, dims.m, dims.p):
         _usage("measurement dims do not match probe dims")
@@ -220,28 +216,19 @@ def experiment(config_path, out_dir, threads, resume):
     trials_path = out / "trials.csv"
     record_path = out / "record.json"
 
-    reuse = []
-    only = None
+    reuse = ()
     if resume and manifest_path.exists() and trials_path.exists():
-        manifest = _guard_io(fileio.read_manifest, manifest_path)
+        manifest = _read(fileio.read_manifest, manifest_path)
         if manifest.get("config_hash") != cfg_hash:
             _usage("--resume: existing manifest was produced by a different config")
-        previous = _guard_io(fileio.read_trials_csv, trials_path)
-        counts = {}
-        for row in previous:
-            counts[row.grid_index] = counts.get(row.grid_index, 0) + 1
+        previous = _read(fileio.read_trials_csv, trials_path)
+        counts = collections.Counter(row.grid_index for row in previous)
         complete = {gi for gi, c in counts.items() if c >= cfg.trials}
         reuse = [r for r in previous if r.grid_index in complete]
-        only = {
-            (gi, t)
-            for gi in range(len(grid_points(cfg)))
-            for t in range(cfg.trials)
-            if gi not in complete
-        }
         click.echo(f"resume: reusing {len(complete)} complete grid points")
 
     started = _utc_now()
-    record = run_experiment(cfg, threads=threads, only=only, reuse=reuse)
+    record = run_experiment(cfg, threads=threads, reuse=reuse)
     finished = _utc_now()
 
     _guard_io(fileio.write_trials_csv, trials_path, record.trials)

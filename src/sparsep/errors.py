@@ -21,7 +21,7 @@ class BudgetError(SparsepError, RuntimeError):
     """A dense construction or enumeration would exceed its work budget.
 
     Raised instead of silently downgrading to an approximation; callers
-    that want the bigger computation must raise the limit explicitly.
+    that want the bigger computation must raise ``SPARSEP_WORK_LIMIT``.
     """
 
 

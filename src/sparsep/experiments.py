@@ -328,19 +328,11 @@ def _stability_trial(cfg, gi, gp, trial):
     return _recover_and_score(cfg, gi, gp, trial, start, linear_operator(probes), h, h)
 
 
-def _run_tasks(fn, cfg, points, threads, only=None):
-    tasks = [
-        (gi, t)
-        for gi in range(len(points))
-        for t in range(cfg.trials)
-        if only is None or (gi, t) in only
-    ]
+def _run_tasks(fn, cfg, points, tasks, threads):
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda gt: fn(cfg, gt[0], points[gt[0]], gt[1]), tasks))
-    else:
-        rows = [fn(cfg, gi, points[gi], t) for gi, t in tasks]
-    return sorted(rows, key=lambda r: (r.grid_index, r.trial_index))
+            return list(pool.map(lambda gt: fn(cfg, gt[0], points[gt[0]], gt[1]), tasks))
+    return [fn(cfg, gi, points[gi], t) for gi, t in tasks]
 
 
 def _binomial_se(rate, trials):
@@ -384,18 +376,23 @@ def _aggregate(points, rows):
 
 
 def _slope_fits(points, aggregates):
-    """Least-squares slope of log(mean snorm) against log(m) per (n,p,s)."""
+    """Least-squares slope of log(mean snorm) against log(m) per (n,p,s).
+
+    Points sharing an m (one per epsilon) are averaged first; a fit needs
+    at least two distinct m.
+    """
     fits = []
     combos = sorted({(pt.n, pt.p, pt.s) for pt in points})
     for n, p, s in combos:
-        xs, ys = [], []
+        by_m = {}
         for summary in aggregates["per_point"]:
             if (summary["n"], summary["p"], summary["s"]) == (n, p, s):
                 mean = summary.get("mean_snorm")
                 if mean is not None and mean > 0:
-                    xs.append(np.log(summary["m"]))
-                    ys.append(np.log(mean))
-        if len(xs) >= 2:
+                    by_m.setdefault(summary["m"], []).append(mean)
+        if len(by_m) >= 2:
+            xs = [np.log(m) for m in by_m]
+            ys = [np.log(np.mean(means)) for means in by_m.values()]
             slope, intercept = np.polyfit(xs, ys, 1)
             fits.append(
                 {"n": n, "p": p, "s": s, "slope": float(slope), "intercept": float(intercept)}
@@ -435,15 +432,6 @@ def _stability_fit(cfg, points, rows):
     }
 
 
-def _merge(rows, reuse):
-    if not reuse:
-        return rows
-    merged = {(r.grid_index, r.trial_index): r for r in rows}
-    for r in reuse:
-        merged.setdefault((r.grid_index, r.trial_index), r)
-    return [merged[key] for key in sorted(merged)]
-
-
 def _trial_fn(kind):
     """The trial function of an experiment kind.
 
@@ -459,16 +447,22 @@ def _trial_fn(kind):
     return _recovery_trial
 
 
-def run_experiment(cfg, threads=1, only=None, reuse=()):
+def run_experiment(cfg, threads=1, reuse=()):
     """Run the trials of ``cfg.kind`` over the config's grid and aggregate them.
 
-    ``only`` restricts execution to a set of (grid_index, trial_index)
-    pairs; ``reuse`` supplies already-computed TrialRows (resume support).
-    Identical config and base_seed give an identical record up to
-    wall_time regardless of threads.
+    ``reuse`` supplies already-computed TrialRows (resume support): every
+    (grid_index, trial_index) they do not cover is run, and the record
+    holds the union sorted by that key.  Identical config and base_seed
+    give an identical record up to wall_time regardless of threads.
     """
     points = grid_points(cfg)
-    rows = _merge(_run_tasks(_trial_fn(cfg.kind), cfg, points, threads, only), reuse)
+    done = {(r.grid_index, r.trial_index): r for r in reuse}
+    tasks = [
+        (gi, t) for gi in range(len(points)) for t in range(cfg.trials) if (gi, t) not in done
+    ]
+    for r in _run_tasks(_trial_fn(cfg.kind), cfg, points, tasks, threads):
+        done[r.grid_index, r.trial_index] = r
+    rows = [done[key] for key in sorted(done)]
     agg = _aggregate(points, rows)
     if cfg.kind == "rip_scaling":
         agg["fits"] = _slope_fits(points, agg)

@@ -17,15 +17,20 @@ ill-typed header keys):
 * measurements  -- header {kind, variant, n, m, p, epsilon}; m+n-1
   (linear) or m (folded) samples.
 * recovery JSON -- RecoveryResult fields plus the estimate as CSV.
-* experiment outputs -- record JSON, flat trials CSV (no wall-clock
-  column: trial CSVs are byte-identical across runs and thread counts),
-  run manifest JSON with the canonical config hash.
+* experiment outputs -- record JSON, flat trials CSV, run manifest JSON
+  with the canonical config hash.  The trials CSV has one column per
+  ``TrialRow`` field, in field order, except ``wall_time`` (so trial CSVs
+  are byte-identical across runs and thread counts); each cell is parsed
+  by its field's type, and an empty cell is None.  Readers raise
+  FormatError on a row of the wrong length, an unparsable cell, a
+  truncated last row or a manifest that is not a JSON object.
 """
 
 import csv
 import hashlib
+import io
 import json
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
@@ -34,25 +39,6 @@ from .experiments import ExperimentConfig, TrialRow
 from .probes import ProblemDims, ProbeSet
 
 FORMAT_VERSION = 1
-
-TRIAL_CSV_COLUMNS = (
-    "grid_index",
-    "trial_index",
-    "seed",
-    "n",
-    "m",
-    "p",
-    "s",
-    "epsilon",
-    "method",
-    "relative_error",
-    "residual",
-    "snorm",
-    "success",
-    "converged",
-    "psnr",
-    "note",
-)
 
 
 def fmt_float(x):
@@ -122,7 +108,11 @@ def read_probes(path):
             f"{path}: expected {dims.p * dims.m} samples, found {values.size}"
         )
     phi = values.reshape(dims.p, dims.m)
-    return ProbeSet.from_time_samples(dims, _header_int(header, "seed", path), phi)
+    seed = _header_int(header, "seed", path)
+    try:
+        return ProbeSet.from_time_samples(dims, seed, phi)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_channels(path, n, p, h):
@@ -213,6 +203,19 @@ def write_record_json(path, record):
         fh.write("\n")
 
 
+def _flag(text):
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
+_PARSERS = {int: int, float: float, bool: _flag, str: str}
+
+# The trials.csv columns, in TrialRow field order: every field but the
+# wall-clock time, which would make the file differ between runs.
+_TRIAL_FIELDS = tuple(f for f in fields(TrialRow) if f.name != "wall_time")
+
+
 def _cell(value):
     if value is None:
         return ""
@@ -226,42 +229,40 @@ def _cell(value):
 def write_trials_csv(path, trials):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRIAL_CSV_COLUMNS)
+        writer.writerow(f.name for f in _TRIAL_FIELDS)
         for row in trials:
-            data = asdict(row)
-            writer.writerow(_cell(data[col]) for col in TRIAL_CSV_COLUMNS)
+            writer.writerow(_cell(getattr(row, f.name)) for f in _TRIAL_FIELDS)
 
 
 def read_trials_csv(path):
-    rows = []
+    """TrialRows from a trials CSV; columns absent from the header read as empty."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for raw in reader:
-            def get(col, conv):
-                text = raw.get(col, "")
-                return conv(text) if text != "" else None
-
-            rows.append(
-                TrialRow(
-                    grid_index=get("grid_index", int),
-                    trial_index=get("trial_index", int),
-                    seed=get("seed", int),
-                    n=get("n", int),
-                    m=get("m", int),
-                    p=get("p", int),
-                    s=get("s", int),
-                    epsilon=get("epsilon", float),
-                    method=raw.get("method", ""),
-                    relative_error=get("relative_error", float),
-                    residual=get("residual", float),
-                    snorm=get("snorm", float),
-                    success=get("success", lambda v: v == "1"),
-                    converged=get("converged", lambda v: v == "1"),
-                    psnr=get("psnr", float),
-                    wall_time=0.0,
-                    note=raw.get("note", ""),
-                )
-            )
+        text = fh.read()
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path}: no header row")
+        rows = []
+        for cells in reader:
+            where = f"{path}: line {reader.line_num}"
+            if len(cells) != len(header):
+                raise FormatError(f"{where}: {len(cells)} cells, header has {len(header)}")
+            raw = dict(zip(header, cells))
+            values = {}
+            for f in _TRIAL_FIELDS:
+                cell = raw.get(f.name, "")
+                try:
+                    values[f.name] = (
+                        None if cell == "" and f.default is None else _PARSERS[f.type](cell)
+                    )
+                except ValueError as exc:
+                    raise FormatError(f"{where}: column {f.name!r}: {exc}") from exc
+            rows.append(TrialRow(**values))
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+    if not text.endswith("\n"):
+        raise FormatError(f"{path}: line {reader.line_num}: truncated row")
     return rows
 
 
@@ -283,6 +284,11 @@ def write_manifest(path, tool_version, cfg_hash, inputs, outputs, started_at, fi
 
 def read_manifest(path):
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: bad JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: manifest must be a JSON object")
     _check_version(payload, path)
     return payload

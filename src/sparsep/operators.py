@@ -175,10 +175,10 @@ def folded_operator(probes):
     return MeasurementOperator(probes, Variant.FOLDED)
 
 
-def build_dense_linear(probes, limit=None):
+def build_dense_linear(probes):
     """Explicit (m+n-1) x (n*p) block-Toeplitz matrix; tests only."""
     d = probes.dims
-    budgets.check_dense(d.linear_len * d.signal_len, limit, "dense linear operator")
+    budgets.check_dense(d.linear_len * d.signal_len, "dense linear operator")
     out = np.zeros((d.linear_len, d.signal_len))
     for k in range(d.p):
         for j in range(d.n):
@@ -186,14 +186,14 @@ def build_dense_linear(probes, limit=None):
     return out
 
 
-def build_dense_folded(probes, limit=None):
+def build_dense_folded(probes):
     """Explicit m x (n*p) concatenation of first-n-column circulant blocks.
 
     Entry (t, j) of block k is phi_k[(n-1+t-j) mod m]; this agrees with
     FoldMap applied to the dense linear matrix entry for entry.
     """
     d = probes.dims
-    budgets.check_dense(d.m * d.signal_len, limit, "dense folded operator")
+    budgets.check_dense(d.m * d.signal_len, "dense folded operator")
     t = np.arange(d.m)[:, None]
     j = np.arange(d.n)[None, :]
     idx = (d.n - 1 + t - j) % d.m

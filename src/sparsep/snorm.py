@@ -98,7 +98,7 @@ def _square(a):
     return a
 
 
-def snorm_exact(a, s, work_limit=None):
+def snorm_exact(a, s):
     """Exhaustive restricted s-norm of a dense square matrix.
 
     Enumerates supports in lexicographic order; ties in the maximum keep
@@ -108,7 +108,7 @@ def snorm_exact(a, s, work_limit=None):
     a = _square(a)
     n = a.shape[0]
     _check_args(n, s)
-    budgets.check_enum(comb(n, s) * s**3, work_limit, "exact s-norm")
+    budgets.check_enum(comb(n, s) * s**3, "exact s-norm")
     symmetric = _is_symmetric(a)
 
     best_value = -1.0
@@ -179,7 +179,7 @@ def snorm_randomized(a, s, trials, seed, swap_cap_factor=5):
     return _swap_ascent(blocks, a.shape[0], _is_symmetric(a), s, trials, seed, swap_cap_factor)
 
 
-def rip_delta(probes, s, mode=EXACT, trials=100, seed=0, work_limit=None, dense_limit=None):
+def rip_delta(probes, s, mode=EXACT, trials=100, seed=0):
     """Restricted-isometry constant delta_s = ||I - Phi^T Phi||_s (folded).
 
     The returned delta certifies (1 - delta)||x||^2 <= ||Phi x||^2 <=
@@ -188,10 +188,10 @@ def rip_delta(probes, s, mode=EXACT, trials=100, seed=0, work_limit=None, dense_
     """
     size = probes.dims.signal_len
     if mode == EXACT:
-        budgets.check_dense(size * size, dense_limit, "dense Gram")
-        phi = build_dense_folded(probes, dense_limit)
+        budgets.check_dense(size * size, "dense Gram")
+        phi = build_dense_folded(probes)
         z = np.eye(size) - phi.T @ phi
-        return snorm_exact(z, s, work_limit)
+        return snorm_exact(z, s)
     if mode == RANDOMIZED:
         return _swap_ascent(LagGram(probes).residual_blocks, size, True, s, trials, seed)
     raise ParameterError(f"unknown mode {mode!r}")

@@ -9,11 +9,6 @@ def test_defaults():
     assert budgets.enum_limit() == 10**8
 
 
-def test_explicit_override_wins():
-    assert budgets.dense_limit(128) == 128
-    assert budgets.enum_limit(64) == 64
-
-
 def test_env_var_overrides_both(monkeypatch):
     monkeypatch.setenv("SPARSEP_WORK_LIMIT", "1000")
     assert budgets.dense_limit() == 1000

@@ -243,6 +243,22 @@ class TestExperiment:
         assert "reusing 2 complete grid points" in result.output
         assert (out / "trials.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("name, damage, where", [
+        ("trials.csv", lambda t: t[:-5], "line 11"),
+        ("trials.csv", lambda t: t.replace("\n0,1,", "\n1,", 1), "line 3"),
+        ("trials.csv", lambda t: t.replace("\n0,2,", "\n0,2,abc", 1), "line 4"),
+        ("manifest.json", lambda t: t[: len(t) // 2], ""),
+    ], ids=["cut_row", "missing_cell", "abc_cell", "cut_manifest"])
+    def test_resume_damaged_input_exit_2(self, runner, tmp_path, name, damage, where):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert invoke(runner, "experiment", "--config", cfg, "--out-dir", out).exit_code == 0
+        path = out / name
+        path.write_text(damage(path.read_text()))
+        result = invoke(runner, "experiment", "--config", cfg, "--out-dir", out, "--resume")
+        assert result.exit_code == 2
+        assert str(path) in result.output and where in result.output
+
     def test_resume_rejects_other_config(self, runner, tmp_path):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "out"

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,28 @@ class TestRipScaling:
         record = run_experiment(cfg)
         slope = record.aggregates["fits"][0]["slope"]
         assert -0.65 <= slope <= -0.35
+
+    def test_single_m_records_no_fit(self):
+        cfg = ExperimentConfig(
+            kind="rip_scaling", n_grid=(4,), m_grid=(8,), p_grid=(2,), s_grid=(2,),
+            trials=2, base_seed=12, epsilon_grid=(0.0, 0.05),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            record = run_experiment(cfg)
+        assert record.aggregates["fits"] == []
+
+    def test_fit_averages_points_at_each_m(self):
+        cfg = ExperimentConfig(
+            kind="rip_scaling", n_grid=(4,), m_grid=(8, 16), p_grid=(2,), s_grid=(2,),
+            trials=2, base_seed=12, epsilon_grid=(0.0, 0.05),
+        )
+        record = run_experiment(cfg)
+        means = [pt["mean_snorm"] for pt in record.aggregates["per_point"]]
+        ys = np.log([np.mean(means[:2]), np.mean(means[2:])])
+        slope, _ = np.polyfit(np.log([8, 16]), ys, 1)
+        [fit] = record.aggregates["fits"]
+        assert fit["slope"] == pytest.approx(slope, rel=1e-12)
 
     def test_delta_nondecreasing_in_s(self):
         cfg = ExperimentConfig(

@@ -1,7 +1,11 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sparsep import fileio
 from sparsep.errors import DataError, FormatError
@@ -106,6 +110,59 @@ def test_trials_csv_roundtrip(tmp_path):
     assert "0.37" not in path.read_text()
 
 
+_floats = st.floats(allow_nan=False)
+# no bare carriage return: the writer leaves it unquoted, so it would read
+# back as a line break (no trial writes one)
+_cells = st.text(alphabet=st.sampled_from('ab1 ,;"\'\n'), max_size=12)
+_trial_rows = st.builds(
+    TrialRow,
+    grid_index=st.integers(0, 10**6),
+    trial_index=st.integers(0, 10**6),
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 10**4),
+    m=st.integers(1, 10**4),
+    p=st.integers(1, 10**4),
+    s=st.integers(0, 10**4),
+    epsilon=_floats,
+    method=_cells,
+    relative_error=st.none() | _floats,
+    residual=st.none() | _floats,
+    snorm=st.none() | _floats,
+    success=st.none() | st.booleans(),
+    converged=st.none() | st.booleans(),
+    psnr=st.none() | _floats,
+    wall_time=_floats,
+    note=_cells,
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(_trial_rows, max_size=5))
+def test_trials_csv_roundtrip_property(tmp_path, rows):
+    path = tmp_path / "trials.csv"
+    fileio.write_trials_csv(path, rows)
+    assert fileio.read_trials_csv(path) == [dataclasses.replace(r, wall_time=0.0) for r in rows]
+
+
+@pytest.mark.parametrize("note, damage, message", [
+    ("randomized_lower_bound", lambda t: t[:-5], "line 2: truncated row"),
+    ('a,"b', lambda t: t[:-3], "unexpected end of data"),
+    ("", lambda t: t.replace("0.5,1,", "0.5,yes,"), "line 2: column 'success'"),
+    ("", lambda t: t.replace("\n0,", "\n,"), "line 2: column 'grid_index'"),
+    ("", lambda t: "", "no header row"),
+], ids=["cut_note", "open_quote", "bad_flag", "empty_required", "empty_file"])
+def test_damaged_trials_csv_rejected(tmp_path, note, damage, message):
+    path = tmp_path / "trials.csv"
+    row = TrialRow(grid_index=0, trial_index=0, seed=7, n=4, m=8, p=2, s=1, epsilon=0.0,
+                   method="snorm", snorm=0.5, success=True, note=note)
+    fileio.write_trials_csv(path, [row])
+    path.write_text(damage(path.read_text()))
+    with pytest.raises(FormatError, match=re.escape(message)) as info:
+        fileio.read_trials_csv(path)
+    assert str(path) in str(info.value)
+
+
 def test_record_json_written(tmp_path):
     cfg = ExperimentConfig(
         kind="phase_transition", n_grid=(4,), m_grid=(8,), p_grid=(2,),
@@ -168,7 +225,7 @@ def write_probe_file(path, header_changes=None, samples=None):
 def test_non_finite_probe_sample_rejected(tmp_path):
     path = tmp_path / "p.csv"
     write_probe_file(path, samples=["0.25", "nan", "0.25", "0.25"])
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=re.escape(str(path))):
         fileio.read_probes(path)
 
 

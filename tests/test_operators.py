@@ -51,10 +51,11 @@ class TestDenseLinear:
         single = build_dense_linear(ProbesView(d.n, d.m, ps.phi[1:2]))
         assert np.array_equal(mat[:, d.n :], single)
 
-    def test_size_guard(self, small):
+    def test_size_guard(self, small, monkeypatch):
+        monkeypatch.setenv("SPARSEP_WORK_LIMIT", "10")
         _, ps = small
         with pytest.raises(BudgetError):
-            build_dense_linear(ps, limit=10)
+            build_dense_linear(ps)
 
 
 class ProbesView:

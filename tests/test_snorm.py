@@ -85,10 +85,11 @@ def test_norm_properties():
         assert snorm_exact(-2.5 * a, 2).value == pytest.approx(2.5 * sa, rel=1e-12)
 
 
-def test_budget_error_no_silent_downgrade():
+def test_budget_error_no_silent_downgrade(monkeypatch):
+    monkeypatch.setenv("SPARSEP_WORK_LIMIT", "1000")
     a = np.eye(30)
     with pytest.raises(BudgetError):
-        snorm_exact(a, 15, work_limit=1000)
+        snorm_exact(a, 15)
 
 
 def test_dimension_checks():
@@ -185,10 +186,13 @@ class TestRipDelta:
         assert rnd.mode == RANDOMIZED
         assert rnd.value <= exact + 1e-14
 
-    def test_budget_propagates(self):
+    def test_budget_propagates(self, monkeypatch):
+        # 200 admits the dense Gram (64) and folded matrix (128) but not
+        # the C(8, 2) * 2^3 = 224-operation enumeration
+        monkeypatch.setenv("SPARSEP_WORK_LIMIT", "200")
         ps = generate_probes(ProblemDims(4, 16, 2), 42)
-        with pytest.raises(BudgetError):
-            rip_delta(ps, 2, work_limit=5)
+        with pytest.raises(BudgetError, match="exact s-norm"):
+            rip_delta(ps, 2)
 
     def test_matrix_free_oracle_matches_dense(self):
         d = ProblemDims(3, 8, 2)
