@@ -107,10 +107,10 @@ def simulate(probes_path, channels_path, sparsity, channel_seed, noise_eps,
     else:
         if sparsity < 0 or sparsity > dims.signal_len:
             _usage(f"--random-sparse must be in [0, {dims.signal_len}]")
-        h = np.zeros(dims.signal_len)
-        if sparsity:
-            support = rng.rand_support(rng.derive_seed(channel_seed, 1), dims.signal_len, sparsity)
-            h[support] = rng.gaussians(rng.derive_seed(channel_seed, 2), sparsity)
+        h = rng.sparse_channel(
+            rng.derive_seed(channel_seed, 1), rng.derive_seed(channel_seed, 2),
+            dims.signal_len, sparsity,
+        )
     if noise_eps < 0:
         _usage("--noise-eps must be >= 0")
 

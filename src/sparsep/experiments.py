@@ -80,6 +80,12 @@ class ExperimentConfig:
             raise ParameterError("trials must be >= 1")
         if self.success_threshold <= 0:
             raise ParameterError("success_threshold must be positive")
+        # each trial solves with its grid point's epsilon and s
+        for name, grid in (("epsilon", "epsilon_grid"), ("s_target", "s_grid")):
+            if getattr(self.solver, name) != getattr(SolverConfig(), name):
+                raise ParameterError(
+                    f"solver.{name} is set per grid point; use {grid} instead"
+                )
 
     def to_dict(self):
         d = asdict(self)
@@ -155,14 +161,6 @@ def grid_points(cfg):
                     for eps in cfg.epsilon_grid:
                         points.append(GridPoint(int(n), int(m), int(p), int(s), float(eps)))
     return points
-
-
-def _sparse_channel(seed_support, seed_amp, size, s):
-    h = np.zeros(size)
-    if s > 0:
-        support = rng.rand_support(seed_support, size, s)
-        h[support] = rng.gaussians(seed_amp, s)
-    return h
 
 
 def _powerlaw_channel(seed_order, seed_sign, size, decay):
@@ -275,7 +273,7 @@ def _recovery_trial(cfg, gi, gp, trial, coded=False):
     trial_seed = rng.derive_seed(cfg.base_seed, gi, trial)
     dims = ProblemDims(gp.n, gp.m, gp.p)
     op = folded_operator(generate_probes(dims, rng.derive_seed(trial_seed, 1)))
-    target = _sparse_channel(
+    target = rng.sparse_channel(
         rng.derive_seed(trial_seed, 2), rng.derive_seed(trial_seed, 3), dims.signal_len, gp.s
     )
     if coded and cfg.block_difference:
@@ -318,7 +316,7 @@ def _stability_instance(cfg, gp):
     size = gp.n * gp.p
     if cfg.decay > 0.0:
         return inst_seed, _powerlaw_channel(*seeds, size, cfg.decay)
-    return inst_seed, _sparse_channel(*seeds, size, gp.s)
+    return inst_seed, rng.sparse_channel(*seeds, size, gp.s)
 
 
 def _stability_trial(cfg, gi, gp, trial):

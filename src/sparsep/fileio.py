@@ -23,7 +23,8 @@ ill-typed header keys):
   are byte-identical across runs and thread counts); each cell is parsed
   by its field's type, and an empty cell is None.  Readers raise
   FormatError on a row of the wrong length, an unparsable cell, a
-  truncated last row or a manifest that is not a JSON object.
+  truncated last row or a manifest that is not a JSON object; the writer
+  raises DataError on a cell holding a carriage return.
 """
 
 import csv
@@ -227,11 +228,20 @@ def _cell(value):
 
 
 def write_trials_csv(path, trials):
+    """Raises DataError, before writing, on a cell holding a carriage return.
+
+    csv.writer would leave it unquoted and the reader would take it for a
+    line break.
+    """
+    body = [[_cell(getattr(row, f.name)) for f in _TRIAL_FIELDS] for row in trials]
+    for i, cells in enumerate(body, start=1):
+        for f, cell in zip(_TRIAL_FIELDS, cells):
+            if "\r" in cell:
+                raise DataError(f"{path}: row {i}: column {f.name!r} holds a carriage return")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(f.name for f in _TRIAL_FIELDS)
-        for row in trials:
-            writer.writerow(_cell(getattr(row, f.name)) for f in _TRIAL_FIELDS)
+        writer.writerows(body)
 
 
 def read_trials_csv(path):

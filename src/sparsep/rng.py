@@ -75,6 +75,14 @@ def rand_support(seed, n_total, k):
     return np.sort(order[:k])
 
 
+def sparse_channel(seed_support, seed_amp, size, s):
+    """Length-size vector with s standard Gaussian entries on a random support."""
+    h = np.zeros(size)
+    if s > 0:
+        h[rand_support(seed_support, size, s)] = gaussians(seed_amp, s)
+    return h
+
+
 def rand_signs(seed, size):
     """Random +-1 array."""
     return np.where(uniforms(seed, size) < 0.5, -1.0, 1.0)

@@ -65,11 +65,11 @@ def _check_y(op, y):
     return y
 
 
-def _result(op, x, y, iterations, converged, method, note=""):
-    residual = float(np.linalg.norm(op.apply(x) - y))
+def _result(x, residual, iterations, converged, method, note=""):
+    """``residual`` is Phi x - y (or its negative) as the solver holds it."""
     return RecoveryResult(
         x_hat=x,
-        residual_norm=residual,
+        residual_norm=float(np.linalg.norm(residual)),
         l1_norm=float(np.sum(np.abs(x))),
         iterations=iterations,
         converged=converged,
@@ -123,20 +123,21 @@ def hard_threshold(v, s):
     return out
 
 
-def _fista(op, y, lam, x0, lips, tol, max_iter):
+def _fista(op, y, lam, x0, r0, lips, tol, max_iter):
     """l1-penalized least squares min 0.5||Phi x - y||^2 + lam ||x||_1.
 
-    Backtracking FISTA with gradient-based momentum restarts.  Returns
-    (x, iterations, local Lipschitz estimate).
+    Backtracking FISTA with gradient-based momentum restarts, started at
+    x0 with its residual r0 = Phi x0 - y; max_iter >= 1.  Returns
+    (x, Phi x - y, iterations, local Lipschitz estimate).
     """
     x = x0.copy()
     z = x0.copy()
+    rz = r0
     t = 1.0
     L = max(lips, 1e-300)
     it = 0
-    while it < max_iter:
+    while True:
         it += 1
-        rz = op.apply(z) - y
         fz = 0.5 * float(rz @ rz)
         grad = op.adjoint(rz)
         while True:
@@ -154,9 +155,9 @@ def _fista(op, y, lam, x0, lips, tol, max_iter):
         z = x_new + ((t - 1.0) / t_new) * (x_new - x)
         step_ok = np.linalg.norm(x_new - x) <= tol * max(1.0, np.linalg.norm(x_new))
         x, t = x_new, t_new
-        if step_ok:
-            break
-    return x, it, L
+        if step_ok or it >= max_iter:
+            return x, r_new, it, L
+        rz = op.apply(z) - y
 
 
 def solve_bpdn(op, y, cfg):
@@ -172,25 +173,24 @@ def solve_bpdn(op, y, cfg):
     "lambda bracket collapsed".
     """
     y = _check_y(op, y)
-    if cfg.epsilon < 0:
-        raise ParameterError("epsilon must be >= 0")
     n = op.input_len
     ynorm = float(np.linalg.norm(y))
     if ynorm <= cfg.epsilon:
-        return _result(op, np.zeros(n), y, 0, True, "bpdn", note="zero is feasible")
+        return _result(np.zeros(n), -y, 0, True, "bpdn", note="zero is feasible")
     eps_eff = max(cfg.epsilon, cfg.feas_tol * ynorm)
 
     corr = op.adjoint(y)
     lam_max = float(np.max(np.abs(corr)))
     if lam_max == 0.0:
         converged = ynorm <= eps_eff * (1.0 + cfg.feas_tol)
-        return _result(op, np.zeros(n), y, 0, converged, "bpdn", note="Phi^T y = 0")
+        return _result(np.zeros(n), -y, 0, converged, "bpdn", note="Phi^T y = 0")
 
     lips = 1.01 * operator_norm_sq(op)
     exact_mode = cfg.epsilon == 0.0
     root_rtol = 1e-6
 
     x = np.zeros(n)
+    res = op.apply(x) - y
     iters = 0
     lam_hi, r_hi = lam_max, ynorm
     lam_lo, r_lo = None, None
@@ -202,9 +202,9 @@ def solve_bpdn(op, y, cfg):
         budget = cfg.max_iter - iters
         if budget <= 0:
             break
-        x, it, lips = _fista(op, y, lam, x, lips, tol, budget)
+        x, res, it, lips = _fista(op, y, lam, x, res, lips, tol, budget)
         iters += it
-        r = float(np.linalg.norm(op.apply(x) - y))
+        r = float(np.linalg.norm(res))
         if exact_mode:
             if r <= eps_eff:
                 converged = True
@@ -243,7 +243,7 @@ def solve_bpdn(op, y, cfg):
             lam = lam_new
         if lam < lam_max * 1e-16:
             break
-    return _result(op, x, y, iters, converged, "bpdn", note=note)
+    return _result(x, res, iters, converged, "bpdn", note=note)
 
 
 def solve_iht(op, y, cfg):
@@ -285,7 +285,7 @@ def solve_iht(op, y, cfg):
         if step <= cfg.opt_tol * float(np.linalg.norm(x)):
             converged = True
             break
-    return _result(op, x, y, it, converged, "iht")
+    return _result(x, r, it, converged, "iht")
 
 
 def solve_oracle_ls(op, y, support):
@@ -310,7 +310,7 @@ def solve_oracle_ls(op, y, support):
         if rank < support.size:
             note = "rank_deficient"
         x[support] = z
-    return _result(op, x, y, 1, True, "oracle_ls", note=note)
+    return _result(x, op.apply(x) - y, 1, True, "oracle_ls", note=note)
 
 
 def reference_bpdn(phi, y, eps, size_limit=64):

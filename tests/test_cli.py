@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -184,6 +185,29 @@ class TestRecover:
                                       "--out-json", str(tmp_path / "r.json")])
         assert result.exit_code == 4
 
+    # sha256 of the recovery JSON and of the estimate CSV, recorded before
+    # the operators stopped checking the inverse-FFT residue per call and the
+    # solvers started passing held residuals on; any bit that moves shows here.
+    @pytest.mark.parametrize("variant, noise, json_sha, csv_sha", [
+        ("folded", 0.0, "e1217a48f1143409fc1e664239d08041de0994f844209b23946917a672d532df",
+         "8ec120f1b15fdb9feb21dae61ad01f0149b767e84e9d43200843b593fc0b914d"),
+        ("linear", 0.05, "2d040933d10cfb50700ae3d27df4bb1bbb9eced7d686ad258fd47bf43305959a",
+         "4a1c382a2973fef46a85c2ea314aa977387a933949c4481f057c8b941573f81c"),
+    ])
+    def test_frozen_output(self, runner, tmp_path, variant, noise, json_sha, csv_sha):
+        probes = gen(runner, tmp_path, n=16, m=64, p=4, seed=21)
+        linear, folded = tmp_path / "lin.csv", tmp_path / "fold.csv"
+        assert invoke(runner, "simulate", "--probes", probes, "--random-sparse", 3,
+                      "--channel-seed", 8, "--noise-eps", noise, "--noise-seed", 4,
+                      "--out", linear, "--folded-out", folded).exit_code == 0
+        out_json, out_csv = tmp_path / "rec.json", tmp_path / "x.csv"
+        result = invoke(runner, "recover", "--probes", probes,
+                        "--measurements", folded if variant == "folded" else linear,
+                        "--method", "bpdn", "--out-json", out_json, "--out-csv", out_csv)
+        assert result.exit_code == 0, result.output
+        digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (out_json, out_csv)]
+        assert digests == [json_sha, csv_sha]
+
     def test_collapsed_lambda_bracket(self, runner, tmp_path):
         # On this noisy linear (256, 1024, 16) file the loose inner solves
         # squeeze the lambda bracket to adjacent floats with the residual
@@ -278,6 +302,15 @@ class TestExperiment:
                                       "--out-dir", str(out), "--threads", str(threads)])
         assert result.exit_code == 2
         assert not (out / "trials.csv").exists()
+
+    def test_ignored_solver_fields_exit_2(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, solver={"epsilon": 0.5, "s_target": 7})))
+        result = runner.invoke(main, ["experiment", "--config", str(cfg),
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "epsilon_grid" in result.output
+        assert not (tmp_path / "out" / "trials.csv").exists()
 
     def test_malformed_json_exit_2_with_position(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

@@ -59,6 +59,15 @@ class TestConfig:
         )
         assert cfg.n_grid == (4,) and cfg.p_grid == (2,)
 
+    @pytest.mark.parametrize("field, value, grid", [
+        ("epsilon", 0.5, "epsilon_grid"), ("s_target", 7, "s_grid"),
+    ])
+    def test_rejects_solver_fields_set_per_point(self, field, value, grid):
+        # trials solve with their grid point's epsilon and s, so a solver
+        # value would be ignored yet still change the config hash
+        with pytest.raises(ParameterError, match=grid):
+            phase_cfg(solver=SolverConfig(**{field: value}))
+
     def test_grid_order(self):
         cfg = phase_cfg(m_grid=(8, 16), s_grid=(1, 2))
         pts = grid_points(cfg)

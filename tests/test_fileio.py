@@ -111,9 +111,7 @@ def test_trials_csv_roundtrip(tmp_path):
 
 
 _floats = st.floats(allow_nan=False)
-# no bare carriage return: the writer leaves it unquoted, so it would read
-# back as a line break (no trial writes one)
-_cells = st.text(alphabet=st.sampled_from('ab1 ,;"\'\n'), max_size=12)
+_cells = st.text(alphabet=st.sampled_from('ab1 ,;"\'\n\r'), max_size=12)
 _trial_rows = st.builds(
     TrialRow,
     grid_index=st.integers(0, 10**6),
@@ -140,7 +138,17 @@ _trial_rows = st.builds(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(rows=st.lists(_trial_rows, max_size=5))
 def test_trials_csv_roundtrip_property(tmp_path, rows):
+    # a carriage return would read back as a line break, so writing one fails
     path = tmp_path / "trials.csv"
+    path.unlink(missing_ok=True)
+    bad = [(i, name) for i, r in enumerate(rows, start=1) for name in ("method", "note")
+           if "\r" in getattr(r, name)]
+    if bad:
+        i, name = bad[0]
+        with pytest.raises(DataError, match=f"row {i}: column '{name}'"):
+            fileio.write_trials_csv(path, rows)
+        assert not path.exists()
+        return
     fileio.write_trials_csv(path, rows)
     assert fileio.read_trials_csv(path) == [dataclasses.replace(r, wall_time=0.0) for r in rows]
 

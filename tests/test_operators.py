@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsep.budgets import BudgetError
 from sparsep.errors import DimensionError, ParameterError
@@ -192,13 +194,34 @@ class TestMatrixFree:
         with pytest.raises(ParameterError):
             linear_operator(ps).gram_apply(np.zeros(ps.dims.signal_len))
 
-    def test_columns(self, medium):
-        d, ps = medium
-        for op in (linear_operator(ps), folded_operator(ps)):
-            for idx in (0, d.n, d.signal_len - 1):
-                e = np.zeros(d.signal_len)
-                e[idx] = 1.0
-                assert np.max(np.abs(op.column(idx) - op.apply(e))) < 1e-12
+
+@st.composite
+def _operator_and_inputs(draw):
+    n = draw(st.integers(1, 16))
+    d = ProblemDims(n=n, m=draw(st.integers(n, 48)), p=draw(st.integers(1, 6)))
+    op = MeasurementOperator(generate_probes(d, draw(st.integers(0, 2**64 - 1))),
+                             draw(st.sampled_from(Variant)))
+    values = st.floats(-1e3, 1e3)
+    x = np.array(draw(st.lists(values, min_size=op.input_len, max_size=op.input_len)))
+    y = np.array(draw(st.lists(values, min_size=op.output_len, max_size=op.output_len)))
+    return op, x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_operator_and_inputs())
+def test_inverse_transforms_are_real(case):
+    # apply and adjoint keep only the real part of their inverse FFTs; the
+    # probe spectra are conjugate-symmetric, so nothing else is dropped
+    op, x, y = case
+    d = op.dims
+    spec = np.fft.fft(x.reshape(d.p, d.n), n=op.output_len, axis=1)
+    forward = np.fft.ifft(np.sum(op._g * spec, axis=0))
+    back = np.fft.ifft(np.conj(op._g) * np.fft.fft(y)[None, :], axis=1)[:, : d.n].reshape(-1)
+    # max |v| <= ||v||, and unlike the norm it does not underflow on tiny inputs
+    assert np.max(np.abs(forward.imag)) <= 1e-12 * np.max(np.abs(x))
+    assert np.max(np.abs(back.imag)) <= 1e-12 * np.max(np.abs(y))
+    assert np.array_equal(op.apply(x), forward.real)
+    assert np.array_equal(op.adjoint(y), back.real)
 
 
 class TestGramExpansions:

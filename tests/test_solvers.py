@@ -301,6 +301,27 @@ class TestLinearCircularConsistency:
             assert np.linalg.norm(rl.x_hat - rf.x_hat) <= 1e-5 * hn
 
 
+@pytest.mark.parametrize("variant, eps, method, max_iter", [
+    ("folded", 0.0, "bpdn", 5000),
+    ("linear", 0.05, "bpdn", 5000),
+    ("folded", 0.0, "bpdn", 3),
+    ("folded", 100.0, "bpdn", 5000),
+    ("folded", 0.0, "iht", 5000),
+    ("linear", 0.0, "iht", 4),
+], ids=["folded", "linear-noisy", "budget-cut", "zero-feasible", "iht", "iht-budget-cut"])
+def test_residual_norm_is_that_of_the_estimate(variant, eps, method, max_iter):
+    # the solvers report the residual they hold; it must be the estimate's, bit for bit
+    d = ProblemDims(n=8, m=24, p=4)
+    probes, h, _ = sparse_instance(d, 3, 4)
+    op = folded_operator(probes) if variant == "folded" else linear_operator(probes)
+    y = op.apply(h)
+    if eps:
+        y = y + rng.noise_with_norm(5, y.size, eps)
+    cfg = SolverConfig(epsilon=eps, max_iter=max_iter, s_target=4)
+    res = (solve_bpdn if method == "bpdn" else solve_iht)(op, y, cfg)
+    assert res.residual_norm == np.linalg.norm(op.apply(res.x_hat) - y)
+
+
 def test_error_scales_linearly_with_epsilon():
     # median error ratio between eps and 2*eps stays in the linear band
     d = ProblemDims(n=8, m=48, p=2)
