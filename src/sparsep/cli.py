@@ -156,12 +156,14 @@ def recover(probes_path, meas_path, method, epsilon, s_target, support,
     op = folded_operator(probes) if header["variant"] == "folded" else linear_operator(probes)
     if epsilon is None:
         epsilon = float(header.get("epsilon", 0.0))
+    if not 0.0 <= epsilon < np.inf:
+        _usage(f"epsilon must be finite and >= 0, got {epsilon}")
     try:
-        cfg = SolverConfig(epsilon=epsilon, max_iter=max_iter, s_target=max(s_target, 0))
+        cfg = SolverConfig(max_iter=max_iter)
         if method == "bpdn":
-            result = solve_bpdn(op, y, cfg)
+            result = solve_bpdn(op, y, epsilon, cfg)
         elif method == "iht":
-            result = solve_iht(op, y, cfg)
+            result = solve_iht(op, y, s_target, cfg)
         else:
             if support is None:
                 _usage("--method oracle requires --support")

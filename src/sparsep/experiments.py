@@ -30,9 +30,10 @@ independent, may run on any thread, and aggregate order-independently.
 """
 
 import functools
+import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -80,12 +81,17 @@ class ExperimentConfig:
             raise ParameterError("trials must be >= 1")
         if self.success_threshold <= 0:
             raise ParameterError("success_threshold must be positive")
-        # each trial solves with its grid point's epsilon and s
-        for name, grid in (("epsilon", "epsilon_grid"), ("s_target", "s_grid")):
-            if getattr(self.solver, name) != getattr(SolverConfig(), name):
+        s_min = 1 if self.kind == "rip_scaling" else 0
+        grids = (self.n_grid, self.m_grid, self.p_grid, self.s_grid)
+        for n, m, p, s in itertools.product(*grids):
+            dims = ProblemDims(int(n), int(m), int(p))
+            if not s_min <= int(s) <= dims.signal_len:
                 raise ParameterError(
-                    f"solver.{name} is set per grid point; use {grid} instead"
+                    f"s={s} is outside [{s_min}, n*p={dims.signal_len}] at n={n}, p={p}"
                 )
+        for eps in self.epsilon_grid:
+            if not 0.0 <= float(eps) < np.inf:
+                raise ParameterError(f"epsilon_grid values must be finite and >= 0, got {eps}")
 
     def to_dict(self):
         d = asdict(self)
@@ -209,13 +215,12 @@ class _FrameDifferenceOperator:
         return _block_cumsum_adjoint(self._base.adjoint(y), self._p, self._n)
 
 
-def _solve(cfg, op, y, gp, true_support=None):
-    solver = replace(cfg.solver, epsilon=gp.epsilon)
+def _solve(cfg, op, y, gp, true_support):
     if cfg.method == "bpdn":
-        return solve_bpdn(op, y, solver)
+        return solve_bpdn(op, y, gp.epsilon, cfg.solver)
     if cfg.method == "iht":
-        return solve_iht(op, y, replace(solver, s_target=max(gp.s, 1)))
-    return solve_oracle_ls(op, y, true_support if true_support is not None else [])
+        return solve_iht(op, y, max(gp.s, 1), cfg.solver)
+    return solve_oracle_ls(op, y, true_support)
 
 
 def _relative_error(x_hat, h):

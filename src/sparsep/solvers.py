@@ -3,8 +3,9 @@
 * :func:`solve_bpdn` -- l1 minimization subject to ||Phi x - y|| <= eps,
   solved as a sequence of l1-penalized least-squares problems (FISTA with
   backtracking and momentum restarts) with root-finding on the penalty so
-  the residual lands on the noise budget.  eps = 0 is handled by driving
-  the residual down to feas_tol * ||y|| instead of literal zero.
+  the residual lands on the noise budget.  One continuation loop serves
+  every eps; eps = 0 drives the residual down to feas_tol * ||y|| instead
+  of literal zero.
 * :func:`solve_iht` -- iterative hard thresholding
   x <- H_s(x + mu * Phi^T (y - Phi x)) with a backtracked step.
 * :func:`solve_oracle_ls` -- least squares restricted to a known support;
@@ -13,7 +14,9 @@
   the same constrained program (LP for eps = 0, SQP on the split
   formulation otherwise); used by tests to certify solve_bpdn.
 
-Solvers accept any operator exposing apply/adjoint/input_len/output_len.
+Solvers accept any operator exposing apply/adjoint/input_len/output_len,
+and a finite y that is zero or has ||y||^2 a normal float64 (DataError
+"rescale y" otherwise: the norms the stops read would under/overflow).
 """
 
 from dataclasses import dataclass, field
@@ -28,20 +31,16 @@ _POWER_SEED_VECTOR = 0x5EED
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Shared solver knobs; see the module docstring for semantics."""
+    """Iteration budget and tolerances; eps and s are solver arguments."""
 
-    epsilon: float = 0.0
     max_iter: int = 5000
     feas_tol: float = 1e-6
     opt_tol: float = 1e-8
-    s_target: int = 0
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ParameterError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.max_iter < 1:
             raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.feas_tol <= 0 or self.opt_tol <= 0:
+        if not (self.feas_tol > 0 and self.opt_tol > 0):
             raise ParameterError("tolerances must be positive")
 
 
@@ -62,6 +61,10 @@ def _check_y(op, y):
         raise DimensionError(f"y must have length {op.output_len}, got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise DataError("y contains non-finite entries")
+    with np.errstate(over="ignore"):
+        yy = float(y @ y)
+    if not np.finfo(float).tiny <= yy < np.inf and np.any(y):
+        raise DataError(f"||y||^2 = {yy:g} is not a normal float64; rescale y")
     return y
 
 
@@ -160,24 +163,27 @@ def _fista(op, y, lam, x0, r0, lips, tol, max_iter):
         rz = op.apply(z) - y
 
 
-def solve_bpdn(op, y, cfg):
-    """min ||x||_1 subject to ||Phi x - y||_2 <= eps.
+def solve_bpdn(op, y, epsilon, cfg):
+    """min ||x||_1 subject to ||Phi x - y||_2 <= epsilon.
 
     Penalty continuation: the residual r(lam) of the penalized problem is
-    increasing in lam, so a bracketed log-secant search drives it onto the
-    effective budget max(eps, feas_tol * ||y||).  For eps = 0 any residual
-    at or below the effective budget is accepted (the penalized path
+    increasing in lam, so one loop drives it onto the effective budget
+    max(epsilon, feas_tol * ||y||): lam drops 8x per stage until r is at
+    or below the budget, then a bracketed log-secant search closes in.
+    For epsilon = 0 the first such r is accepted (the penalized path
     converges to the minimum-l1 interpolator as lam -> 0).  If the bracket
     shrinks to adjacent floats, the search restarts once with 1000x tighter
     inner solves; a second collapse stops unconverged with the note
     "lambda bracket collapsed".
     """
+    if not epsilon >= 0:
+        raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
     y = _check_y(op, y)
     n = op.input_len
     ynorm = float(np.linalg.norm(y))
-    if ynorm <= cfg.epsilon:
+    if ynorm <= epsilon:
         return _result(np.zeros(n), -y, 0, True, "bpdn", note="zero is feasible")
-    eps_eff = max(cfg.epsilon, cfg.feas_tol * ynorm)
+    eps_eff = max(epsilon, cfg.feas_tol * ynorm)
 
     corr = op.adjoint(y)
     lam_max = float(np.max(np.abs(corr)))
@@ -186,7 +192,6 @@ def solve_bpdn(op, y, cfg):
         return _result(np.zeros(n), -y, 0, converged, "bpdn", note="Phi^T y = 0")
 
     lips = 1.01 * operator_norm_sq(op)
-    exact_mode = cfg.epsilon == 0.0
     root_rtol = 1e-6
 
     x = np.zeros(n)
@@ -205,14 +210,7 @@ def solve_bpdn(op, y, cfg):
         x, res, it, lips = _fista(op, y, lam, x, res, lips, tol, budget)
         iters += it
         r = float(np.linalg.norm(res))
-        if exact_mode:
-            if r <= eps_eff:
-                converged = True
-                break
-            lam_hi, r_hi = lam, r
-            lam = lam / 8.0
-            continue
-        if abs(r - eps_eff) <= root_rtol * eps_eff:
+        if r <= eps_eff if epsilon == 0.0 else abs(r - eps_eff) <= root_rtol * eps_eff:
             converged = True
             break
         if r > eps_eff:
@@ -241,22 +239,22 @@ def solve_bpdn(op, y, cfg):
                 lam_lo, r_lo = None, None
                 lam_new = lam_hi / 8.0
             lam = lam_new
-        if lam < lam_max * 1e-16:
+        if epsilon > 0.0 and lam < lam_max * 1e-16:
             break
     return _result(x, res, iters, converged, "bpdn", note=note)
 
 
-def solve_iht(op, y, cfg):
-    """Iterative hard thresholding toward an s_target-sparse estimate.
+def solve_iht(op, y, s, cfg):
+    """Iterative hard thresholding toward an s-sparse estimate.
 
     Each step starts at 1/||Phi||^2 and is halved until the residual does
     not increase.  Stops when the iterate change drops below
-    opt_tol * ||x|| or max_iter is reached.
+    opt_tol * ||x||, when 60 halvings find no such step (the iterate is
+    then stationary), or when max_iter is reached.
     """
-    y = _check_y(op, y)
-    s = cfg.s_target
     if s < 1:
-        raise ParameterError(f"s_target must be >= 1, got {s}")
+        raise ParameterError(f"s must be >= 1, got {s}")
+    y = _check_y(op, y)
     n = op.input_len
     lips = operator_norm_sq(op)
     mu0 = 1.0 / lips if lips > 0 else 1.0
@@ -277,9 +275,8 @@ def solve_iht(op, y, cfg):
                 break
             mu *= 0.5
         else:
-            x_new = hard_threshold(x, s)
-            r_new = y - op.apply(x_new)
-            r_new_norm = float(np.linalg.norm(r_new))
+            converged = True
+            break
         step = float(np.linalg.norm(x_new - x))
         x, r, r_norm = x_new, r_new, r_new_norm
         if step <= cfg.opt_tol * float(np.linalg.norm(x)):
@@ -328,27 +325,11 @@ def reference_bpdn(phi, y, eps, size_limit=64):
     n = phi.shape[1]
     if n > size_limit:
         raise BudgetError(f"reference solver limited to {size_limit} unknowns, got {n}")
-    if eps < 0:
-        raise ParameterError("epsilon must be >= 0")
+    if not eps >= 0:
+        raise ParameterError(f"epsilon must be >= 0, got {eps}")
     if np.linalg.norm(y) <= eps:
         return np.zeros(n)
 
-    if eps == 0.0:
-        res = linprog(
-            c=np.ones(2 * n),
-            A_eq=np.hstack([phi, -phi]),
-            b_eq=y,
-            bounds=[(0, None)] * (2 * n),
-            method="highs",
-        )
-        if not res.success:
-            raise DataError(f"equality-constrained reference LP failed: {res.message}")
-        return res.x[:n] - res.x[n:]
-
-    x_ls, *_ = np.linalg.lstsq(phi, y, rcond=None)
-    if np.linalg.norm(phi @ x_ls - y) > eps * (1.0 + 1e-9) + 1e-12:
-        raise DataError("instance is infeasible: min residual exceeds epsilon")
-    x_start = x_ls
     lp = linprog(
         c=np.ones(2 * n),
         A_eq=np.hstack([phi, -phi]),
@@ -356,8 +337,16 @@ def reference_bpdn(phi, y, eps, size_limit=64):
         bounds=[(0, None)] * (2 * n),
         method="highs",
     )
-    if lp.success:  # exact interpolator: feasible and a good SQP start
-        x_start = lp.x[:n] - lp.x[n:]
+    if eps == 0.0:
+        if not lp.success:
+            raise DataError(f"equality-constrained reference LP failed: {lp.message}")
+        return lp.x[:n] - lp.x[n:]
+
+    x_ls, *_ = np.linalg.lstsq(phi, y, rcond=None)
+    if np.linalg.norm(phi @ x_ls - y) > eps * (1.0 + 1e-9) + 1e-12:
+        raise DataError("instance is infeasible: min residual exceeds epsilon")
+    # the exact interpolator is feasible and a good SQP start
+    x_start = lp.x[:n] - lp.x[n:] if lp.success else x_ls
     w0 = np.concatenate([np.maximum(x_start, 0.0), np.maximum(-x_start, 0.0)])
 
     def split(w):

@@ -175,8 +175,8 @@ def test_criterion_07_solver_certification():
             eps = 0.15 * np.linalg.norm(clean)
             y = clean + rng.noise_with_norm(i + 70, d.m, 0.8 * eps)
         ref_obj = np.sum(np.abs(reference_bpdn(build_dense_folded(ps), y, eps)))
-        cfg = SolverConfig(epsilon=eps)
-        res = solve_bpdn(op, y, cfg)
+        cfg = SolverConfig()
+        res = solve_bpdn(op, y, eps, cfg)
         worst_rel = max(worst_rel, abs(res.l1_norm - ref_obj) / (1 + ref_obj))
         budget = max(eps, cfg.feas_tol * np.linalg.norm(y))
         feasible = feasible and res.residual_norm <= budget * (1 + cfg.feas_tol)
@@ -235,8 +235,8 @@ def test_criterion_11_linear_circular_consistency():
         sup = rng.rand_support(rng.derive_seed(seed, 9), d.signal_len, 2)
         h[sup] = rng.gaussians(rng.derive_seed(seed, 31), 2)
         opl, opf = linear_operator(ps), folded_operator(ps)
-        rl = solve_bpdn(opl, opl.apply(h), SolverConfig(epsilon=0.0))
-        rf = solve_bpdn(opf, opf.apply(h), SolverConfig(epsilon=np.sqrt(2.0) * 0.0))
+        rl = solve_bpdn(opl, opl.apply(h), 0.0, SolverConfig())
+        rf = solve_bpdn(opf, opf.apply(h), np.sqrt(2.0) * 0.0, SolverConfig())
         worst = max(worst, np.linalg.norm(rl.x_hat - rf.x_hat) / np.linalg.norm(h))
     ok = worst <= 1e-5
     _report(11, ok, f"worst linear/folded disagreement {worst:.2e} over 10 instances")

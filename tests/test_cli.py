@@ -177,6 +177,31 @@ class TestRecover:
                                       "--out-json", str(tmp_path / "r.json")])
         assert result.exit_code == 2, result.output
 
+    @pytest.mark.parametrize("method", ["bpdn", "iht", "oracle"])
+    @pytest.mark.parametrize("eps", ["-0.1", "nan", "inf"])
+    def test_unusable_epsilon_exit_2(self, runner, tmp_path, method, eps):
+        probes, y, _ = self.setup_instance(runner, tmp_path)
+        out_json = tmp_path / "r.json"
+        result = runner.invoke(main, ["recover", "--probes", str(probes),
+                                      "--measurements", str(y), "--method", method,
+                                      "--epsilon", eps, "--s-target", "2", "--support", "1",
+                                      "--out-json", str(out_json)])
+        assert result.exit_code == 2, result.output
+        assert "epsilon" in result.output
+        assert not out_json.exists()
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e200])
+    def test_y_outside_normal_range_exit_2(self, runner, tmp_path, scale):
+        probes, y, _ = self.setup_instance(runner, tmp_path)
+        header, y_vec = fileio.read_measurements(y)
+        dims = ProblemDims(header["n"], header["m"], header["p"])
+        fileio.write_measurements(y, dims, header["variant"], y_vec * scale)
+        result = runner.invoke(main, ["recover", "--probes", str(probes),
+                                      "--measurements", str(y), "--method", "bpdn",
+                                      "--out-json", str(tmp_path / "r.json")])
+        assert result.exit_code == 2, result.output
+        assert "rescale" in result.output
+
     def test_nonconvergence_exit_4(self, runner, tmp_path):
         probes, y, _ = self.setup_instance(runner, tmp_path, noise=0.0)
         result = runner.invoke(main, ["recover", "--probes", str(probes),
@@ -304,13 +329,35 @@ class TestExperiment:
         assert not (out / "trials.csv").exists()
 
     def test_ignored_solver_fields_exit_2(self, runner, tmp_path):
+        # epsilon and s come from the grids; SolverConfig has no such fields
+        for field, value in (("epsilon", 0.5), ("s_target", 7)):
+            cfg = tmp_path / f"{field}.json"
+            cfg.write_text(json.dumps(dict(self.CONFIG, solver={field: value})))
+            out = tmp_path / f"out_{field}"
+            result = runner.invoke(main, ["experiment", "--config", str(cfg),
+                                          "--out-dir", str(out)])
+            assert result.exit_code == 2
+            assert field in result.output
+            assert not (out / "trials.csv").exists()
+
+    @pytest.mark.parametrize("changes", [
+        {"epsilon_grid": [-0.1]},
+        {"epsilon_grid": [float("nan")]},
+        {"epsilon_grid": [float("inf")]},
+        {"m_grid": [2], "n_grid": [4]},
+        {"s_grid": [9], "n_grid": [4], "p_grid": [2]},
+        {"s_grid": [-1]},
+        {"kind": "rip_scaling", "s_grid": [0]},
+    ], ids=["negative-eps", "nan-eps", "inf-eps", "m-below-n", "s-above-np", "negative-s",
+            "rip-zero-s"])
+    def test_unusable_grid_value_exit_2(self, runner, tmp_path, changes):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(dict(self.CONFIG, solver={"epsilon": 0.5, "s_target": 7})))
-        result = runner.invoke(main, ["experiment", "--config", str(cfg),
-                                      "--out-dir", str(tmp_path / "out")])
-        assert result.exit_code == 2
-        assert "epsilon_grid" in result.output
-        assert not (tmp_path / "out" / "trials.csv").exists()
+        cfg.write_text(json.dumps(dict(self.CONFIG, **changes)))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["experiment", "--config", str(cfg), "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "invalid config" in result.output
+        assert not (out / "trials.csv").exists()
 
     def test_malformed_json_exit_2_with_position(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

@@ -63,10 +63,14 @@ class TestConfig:
         ("epsilon", 0.5, "epsilon_grid"), ("s_target", 7, "s_grid"),
     ])
     def test_rejects_solver_fields_set_per_point(self, field, value, grid):
-        # trials solve with their grid point's epsilon and s, so a solver
-        # value would be ignored yet still change the config hash
-        with pytest.raises(ParameterError, match=grid):
-            phase_cfg(solver=SolverConfig(**{field: value}))
+        # trials solve with their grid point's epsilon and s: the solver
+        # has no field for them, and the grid carries the value instead
+        with pytest.raises(TypeError, match=field):
+            SolverConfig(**{field: value})
+        with pytest.raises(TypeError, match=field):
+            ExperimentConfig.from_dict(dict(phase_cfg().to_dict(), solver={field: value}))
+        point = grid_points(phase_cfg(p_grid=(4,), **{grid: (value,)}))[0]
+        assert getattr(point, grid[:-len("_grid")]) == value
 
     def test_grid_order(self):
         cfg = phase_cfg(m_grid=(8, 16), s_grid=(1, 2))

@@ -43,10 +43,6 @@ def sparse_instance(d, seed, s, amp_seed_offset=1000):
 
 
 class TestSolverConfig:
-    def test_negative_epsilon_rejected(self):
-        with pytest.raises(ParameterError):
-            SolverConfig(epsilon=-1.0)
-
     def test_bad_iterations_rejected(self):
         with pytest.raises(ParameterError):
             SolverConfig(max_iter=0)
@@ -54,6 +50,8 @@ class TestSolverConfig:
     def test_bad_tolerances_rejected(self):
         with pytest.raises(ParameterError):
             SolverConfig(feas_tol=0.0)
+        with pytest.raises(ParameterError):
+            SolverConfig(opt_tol=np.nan)
 
 
 class TestHardThreshold:
@@ -76,30 +74,31 @@ class TestBPDN:
     def test_zero_when_y_within_budget(self):
         op = IdentityOp(4)
         y = np.array([0.1, 0.2, 0.0, -0.1])
-        res = solve_bpdn(op, y, SolverConfig(epsilon=1.0))
+        res = solve_bpdn(op, y, 1.0, SolverConfig())
         assert np.array_equal(res.x_hat, np.zeros(4))
         assert res.converged
 
     def test_identity_epsilon_zero_returns_y(self):
         op = IdentityOp(4)
         y = np.array([1.0, -2.0, 0.5, 0.0])
-        res = solve_bpdn(op, y, SolverConfig(epsilon=0.0))
+        res = solve_bpdn(op, y, 0.0, SolverConfig())
         assert np.linalg.norm(res.x_hat - y) <= 1e-5 * np.linalg.norm(y)
         assert res.converged
 
     def test_negative_epsilon_rejected(self):
-        with pytest.raises(ParameterError):
-            SolverConfig(epsilon=-0.5)
+        for eps in (-0.5, np.nan):
+            with pytest.raises(ParameterError):
+                solve_bpdn(IdentityOp(3), np.ones(3), eps, SolverConfig())
 
     def test_nonfinite_y_rejected(self):
         op = IdentityOp(3)
         with pytest.raises(DataError):
-            solve_bpdn(op, np.array([1.0, np.nan, 0.0]), SolverConfig())
+            solve_bpdn(op, np.array([1.0, np.nan, 0.0]), 0.0, SolverConfig())
 
     def test_dimension_mismatch(self):
         op = IdentityOp(3)
         with pytest.raises(DimensionError):
-            solve_bpdn(op, np.zeros(4), SolverConfig())
+            solve_bpdn(op, np.zeros(4), 0.0, SolverConfig())
 
     def test_tiny_noiseless_recovery_prescreened(self):
         # instances where the reference oracle certifies exact recovery
@@ -113,7 +112,7 @@ class TestBPDN:
             if np.linalg.norm(x_ref - h) > 1e-8 * np.linalg.norm(h):
                 continue
             checked += 1
-            res = solve_bpdn(op, y, SolverConfig(epsilon=0.0))
+            res = solve_bpdn(op, y, 0.0, SolverConfig())
             assert res.converged
             assert np.linalg.norm(res.x_hat - h) <= 1e-5 * np.linalg.norm(h)
         assert checked >= 5
@@ -127,7 +126,7 @@ class TestBPDN:
             clean = op.apply(h)
             eps = 0.1 * np.linalg.norm(clean)
             y = clean + rng.noise_with_norm(seed, d.m, 0.9 * eps)
-            res = solve_bpdn(op, y, SolverConfig(epsilon=eps, feas_tol=cfg_tol))
+            res = solve_bpdn(op, y, eps, SolverConfig(feas_tol=cfg_tol))
             assert res.residual_norm <= eps * (1 + cfg_tol)
 
     def test_minimality_when_truth_feasible(self):
@@ -136,7 +135,7 @@ class TestBPDN:
             probes, h, _ = sparse_instance(d, seed, 2)
             op = folded_operator(probes)
             y = op.apply(h)  # h feasible at eps = 0
-            res = solve_bpdn(op, y, SolverConfig(epsilon=0.0))
+            res = solve_bpdn(op, y, 0.0, SolverConfig())
             h_l1 = np.sum(np.abs(h))
             assert res.l1_norm <= h_l1 + 1e-8 * (1 + h_l1) + 1e-6 * h_l1
 
@@ -155,7 +154,7 @@ class TestBPDN:
                 y = clean + rng.noise_with_norm(i, d.m, 0.8 * eps)
             x_ref = reference_bpdn(build_dense_folded(probes), y, eps)
             ref_obj = np.sum(np.abs(x_ref))
-            res = solve_bpdn(op, y, SolverConfig(epsilon=eps))
+            res = solve_bpdn(op, y, eps, SolverConfig())
             assert res.converged
             assert abs(res.l1_norm - ref_obj) <= 1e-4 * (1 + ref_obj)
 
@@ -164,7 +163,7 @@ class TestIHT:
     def test_zero_measurements_one_iteration(self):
         d = ProblemDims(4, 16, 2)
         op = folded_operator(generate_probes(d, 0))
-        res = solve_iht(op, np.zeros(d.m), SolverConfig(s_target=2))
+        res = solve_iht(op, np.zeros(d.m), 2, SolverConfig())
         assert np.array_equal(res.x_hat, np.zeros(d.signal_len))
         assert res.iterations == 1
 
@@ -178,7 +177,7 @@ class TestIHT:
             oracle = solve_oracle_ls(op, y, support)
             if np.linalg.norm(oracle.x_hat - h) > 1e-10:
                 continue
-            res = solve_iht(op, y, SolverConfig(s_target=2, max_iter=3000))
+            res = solve_iht(op, y, 2, SolverConfig(max_iter=3000))
             if np.linalg.norm(res.x_hat - h) <= 1e-5 * np.linalg.norm(h):
                 recovered += 1
         assert recovered >= 6
@@ -189,7 +188,7 @@ class TestIHT:
         op = folded_operator(probes)
         y = op.apply(h) + rng.noise_with_norm(1, d.m, 0.5)
         for s in (1, 2, 5):
-            res = solve_iht(op, y, SolverConfig(s_target=s, max_iter=200))
+            res = solve_iht(op, y, s, SolverConfig(max_iter=200))
             assert np.count_nonzero(res.x_hat) <= s
 
     def test_full_sparsity_is_landweber_with_monotone_residual(self):
@@ -200,14 +199,39 @@ class TestIHT:
         y = op.apply(h)
         residuals = []
         for iters in (1, 5, 20, 80):
-            res = solve_iht(op, y, SolverConfig(s_target=d.signal_len, max_iter=iters))
+            res = solve_iht(op, y, d.signal_len, SolverConfig(max_iter=iters))
             residuals.append(res.residual_norm)
         assert all(residuals[i + 1] <= residuals[i] * (1 + 1e-9) for i in range(3))
 
     def test_requires_positive_s(self):
         op = IdentityOp(3)
         with pytest.raises(ParameterError):
-            solve_iht(op, np.zeros(3), SolverConfig(s_target=0))
+            solve_iht(op, np.zeros(3), 0, SolverConfig())
+
+    def test_no_descent_step_stops_at_the_held_iterate(self):
+        # an adjoint pointing uphill: no halving of the step lowers the
+        # residual, so the zero start is kept without another apply
+        d = ProblemDims(8, 24, 4)
+        probes, h, _ = sparse_instance(d, 3, 4)
+        base = folded_operator(probes)
+        applies = []
+
+        class Uphill:
+            input_len, output_len = base.input_len, base.output_len
+
+            def apply(self, x):
+                applies.append(1)
+                return base.apply(x)
+
+            def adjoint(self, r):
+                return -1e30 * base.adjoint(r)
+
+        y = base.apply(h)
+        res = solve_iht(Uphill(), y, 4, SolverConfig())
+        assert np.array_equal(res.x_hat, np.zeros(d.signal_len))
+        assert res.converged and res.iterations == 1
+        assert res.residual_norm == np.linalg.norm(y)
+        assert len(applies) == 261
 
 
 class TestOracleLS:
@@ -254,7 +278,7 @@ class TestOracleLS:
             y = clean + rng.noise_with_norm(t, d.m, eps)
             oracle_err = np.linalg.norm(solve_oracle_ls(op, y, support).x_hat - h)
             bpdn_err = np.linalg.norm(
-                solve_bpdn(op, y, SolverConfig(epsilon=eps)).x_hat - h
+                solve_bpdn(op, y, eps, SolverConfig()).x_hat - h
             )
             if oracle_err <= bpdn_err + 1e-12:
                 wins += 1
@@ -293,8 +317,8 @@ class TestLinearCircularConsistency:
         for seed in range(5):
             probes, h, _ = sparse_instance(d, 400 + seed, 2)
             opl, opf = linear_operator(probes), folded_operator(probes)
-            rl = solve_bpdn(opl, opl.apply(h), SolverConfig(epsilon=0.0))
-            rf = solve_bpdn(opf, opf.apply(h), SolverConfig(epsilon=np.sqrt(2.0) * 0.0))
+            rl = solve_bpdn(opl, opl.apply(h), 0.0, SolverConfig())
+            rf = solve_bpdn(opf, opf.apply(h), np.sqrt(2.0) * 0.0, SolverConfig())
             hn = np.linalg.norm(h)
             assert np.linalg.norm(rl.x_hat - h) <= 1e-5 * hn
             assert np.linalg.norm(rf.x_hat - h) <= 1e-5 * hn
@@ -317,8 +341,8 @@ def test_residual_norm_is_that_of_the_estimate(variant, eps, method, max_iter):
     y = op.apply(h)
     if eps:
         y = y + rng.noise_with_norm(5, y.size, eps)
-    cfg = SolverConfig(epsilon=eps, max_iter=max_iter, s_target=4)
-    res = (solve_bpdn if method == "bpdn" else solve_iht)(op, y, cfg)
+    cfg = SolverConfig(max_iter=max_iter)
+    res = solve_bpdn(op, y, eps, cfg) if method == "bpdn" else solve_iht(op, y, 4, cfg)
     assert res.residual_norm == np.linalg.norm(op.apply(res.x_hat) - y)
 
 
@@ -334,8 +358,77 @@ def test_error_scales_linearly_with_epsilon():
         errs = []
         for t in range(30):
             y = clean + rng.noise_with_norm(rng.derive_seed(81, t), clean.size, scale * eps)
-            res = solve_bpdn(op, y, SolverConfig(epsilon=scale * eps))
+            res = solve_bpdn(op, y, scale * eps, SolverConfig())
             errs.append(np.linalg.norm(res.x_hat - h))
         medians.append(np.median(errs))
     ratio = medians[1] / medians[0]
     assert 1.0 <= ratio <= 3.5
+
+
+SCALE_OPERATOR = ProblemDims(8, 24, 4)
+
+
+@pytest.mark.parametrize("scale", [1e-158, 1e-170, 1e155, 1e200])
+@pytest.mark.parametrize("method", ["bpdn", "iht", "oracle"])
+def test_y_outside_normal_range_rejected(method, scale):
+    # ||y||^2 underflows or overflows here: the stops would read a residual
+    # of 0 or inf and claim convergence, so the solvers refuse y instead
+    probes, h, support = sparse_instance(SCALE_OPERATOR, 3, 4)
+    op = folded_operator(probes)
+    y = op.apply(h) * scale
+    with pytest.raises(DataError, match="rescale"):
+        if method == "bpdn":
+            solve_bpdn(op, y, 0.0, SolverConfig())
+        elif method == "iht":
+            solve_iht(op, y, 4, SolverConfig())
+        else:
+            solve_oracle_ls(op, y, support)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_y_inside_normal_range_accepted(scale):
+    probes, h, support = sparse_instance(SCALE_OPERATOR, 3, 4)
+    op = folded_operator(probes)
+    res = solve_oracle_ls(op, op.apply(h) * scale, support)
+    assert np.linalg.norm(res.x_hat - scale * h) <= 1e-10 * scale * np.linalg.norm(h)
+
+
+# sha256 over three seeds of each result's x_hat bytes and its
+# (residual_norm, l1_norm, iterations, converged, note), recorded when
+# epsilon and s were still SolverConfig fields and eps = 0 had its own loop
+FROZEN_API_DIGESTS = {
+    ("bpdn-folded", (8, 24, 4)): "08c7be02a1055f2261796932fcec01db5195bb63ba80d6205232fe5557a5561e",
+    ("bpdn-folded", (32, 128, 8)): "9632d4c9d720ccc3019490ee86f01aa141e409d81d4649ad87d40340989ba5e6",
+    ("bpdn-linear", (8, 24, 4)): "f44990dc791adc36124f05fab930203ccfe4fe13b85caf05e1af47eb5b8577b4",
+    ("bpdn-linear", (32, 128, 8)): "ea5b059f1803c4a326fa6299c620fcdfaffa94af1c8b907f69b0dec47d47df67",
+    ("iht", (8, 24, 4)): "49c2cb4fd465c1b185c1574a5b75a9f8ff621722f05e8c40b17fe5260c8d8312",
+    ("iht", (32, 128, 8)): "dac22c1a799aff95fd0d62700b64e0c6051233c894a1dbb60268e7243b63b577",
+    ("oracle", (8, 24, 4)): "3e037b2135547373be7ef249e69e174a00ecead01c3628182fea2d09bf7960c8",
+    ("oracle", (32, 128, 8)): "9684aa0766eed018a95751949d6e517c1e8fbfeb512d42a8db7d9c436bccb3fe",
+}
+
+
+@pytest.mark.parametrize("case, dims", sorted(FROZEN_API_DIGESTS))
+def test_frozen_api_digest(case, dims):
+    import hashlib
+
+    d = ProblemDims(*dims)
+    digest = hashlib.sha256()
+    for seed in range(3):
+        probes, h, support = sparse_instance(d, 7 + seed, 4)
+        op = (linear_operator if case == "bpdn-linear" else folded_operator)(probes)
+        y = op.apply(h)
+        if case == "bpdn-linear":
+            y = y + rng.noise_with_norm(rng.derive_seed(seed, 5), y.size, 0.05)
+        if case == "bpdn-folded":
+            res = solve_bpdn(op, y, 0.0, SolverConfig())
+        elif case == "bpdn-linear":
+            res = solve_bpdn(op, y, 0.05, SolverConfig())
+        elif case == "iht":
+            res = solve_iht(op, y, 4, SolverConfig())
+        else:
+            res = solve_oracle_ls(op, y, support)
+        digest.update(res.x_hat.tobytes())
+        fields = (res.residual_norm, res.l1_norm, res.iterations, res.converged, res.note)
+        digest.update(repr(fields).encode())
+    assert digest.hexdigest() == FROZEN_API_DIGESTS[case, dims]
