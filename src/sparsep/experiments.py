@@ -40,7 +40,7 @@ import numpy as np
 from . import rng
 from .errors import BudgetError, ParameterError
 from .operators import folded_operator, linear_operator
-from .probes import ProblemDims, generate_probes
+from .probes import ProblemDims, generate_probes, is_integer
 from .snorm import EXACT, RANDOMIZED, rip_delta
 from .solvers import SolverConfig, solve_bpdn, solve_iht, solve_oracle_ls
 
@@ -77,15 +77,17 @@ class ExperimentConfig:
             object.__setattr__(self, name, grid)
             if not grid:
                 raise ParameterError(f"{name} must be non-empty")
-        if self.trials < 1:
-            raise ParameterError("trials must be >= 1")
+            if name != "epsilon_grid" and not all(map(is_integer, grid)):
+                raise ParameterError(f"{name} values must be integers, got {list(grid)}")
+        if not is_integer(self.trials) or self.trials < 1:
+            raise ParameterError(f"trials must be an integer >= 1, got {self.trials!r}")
         if self.success_threshold <= 0:
             raise ParameterError("success_threshold must be positive")
         s_min = 1 if self.kind == "rip_scaling" else 0
         grids = (self.n_grid, self.m_grid, self.p_grid, self.s_grid)
         for n, m, p, s in itertools.product(*grids):
-            dims = ProblemDims(int(n), int(m), int(p))
-            if not s_min <= int(s) <= dims.signal_len:
+            dims = ProblemDims(n, m, p)
+            if not s_min <= s <= dims.signal_len:
                 raise ParameterError(
                     f"s={s} is outside [{s_min}, n*p={dims.signal_len}] at n={n}, p={p}"
                 )

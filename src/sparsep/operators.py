@@ -8,12 +8,12 @@ Two variants act on the concatenated channel vector x of length n*p
   the last n-1, leaving m entries.  Each folded block is the first n
   columns of an m x m circulant.
 
-apply and adjoint are batched FFTs against precomputed probe spectra, of
-length m for the folded variant and m + n - 1 for the linear one.  All
-public vectors are real float64.  Both spectra come from real probes, so
-they are conjugate-symmetric and the inverse transforms are real up to
-rounding; complex arithmetic stays inside apply and adjoint, which return
-the real part.
+Both variants run one real-FFT kernel: circular convolution at length L
+against (p, L//2 + 1) half spectra.  Folded: L = m and the first m//2 + 1
+entries of ``probes.g``.  Linear: L = next_fast_len(m + n - 1), where
+circular and linear convolution agree, keeping the first m + n - 1
+outputs.  irfft output is real by construction; all public vectors are
+real float64.
 
 Dense constructions are for tests and tiny instances and are gated by the
 dense element budget.
@@ -22,6 +22,7 @@ dense element budget.
 import enum
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from . import budgets
 from .errors import DimensionError, ParameterError
@@ -87,8 +88,8 @@ class FoldMap:
 class MeasurementOperator:
     """Matrix-free handle for one variant, bound to a probe set.
 
-    apply/adjoint are reentrant and allocate per call; the operator itself
-    is immutable after construction.
+    The variant sets only ``fft_len`` and the half spectra.  apply/adjoint
+    are reentrant and allocate per call; the operator is immutable.
     """
 
     def __init__(self, probes, variant):
@@ -100,25 +101,23 @@ class MeasurementOperator:
         self.variant = variant
         self.input_len = self.dims.signal_len
         if variant is Variant.FOLDED:
-            self.output_len = self.dims.m
-            self._g = probes.g
+            self.output_len = self.fft_len = self.dims.m
+            self._g_half = probes.g[:, : self.dims.m // 2 + 1]
         else:
             self.output_len = self.dims.linear_len
-            # zero-padded probe spectra at the full linear length
-            self._g = np.fft.fft(probes.phi, n=self.output_len, axis=1)
+            self.fft_len = next_fast_len(self.output_len, real=True)
+            self._g_half = np.fft.rfft(probes.phi, n=self.fft_len, axis=1)
 
     def apply(self, x):
-        """y = Phi x via one batched FFT over the p blocks."""
+        """y = Phi x via one batched rfft over the p blocks."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.input_len,):
             raise DimensionError(
                 f"expected input length {self.input_len}, got {x.shape}"
             )
-        spec = np.fft.fft(x.reshape(self.dims.p, self.dims.n), n=self.output_len, axis=1)
-        y = np.fft.ifft(np.sum(self._g * spec, axis=0))
-        # copy: a strided .real view would reach BLAS dot products with
-        # stride 2, which may round differently
-        return np.ascontiguousarray(y.real)
+        spec = np.fft.rfft(x.reshape(self.dims.p, self.dims.n), n=self.fft_len, axis=1)
+        y = np.fft.irfft(np.sum(self._g_half * spec, axis=0), n=self.fft_len)
+        return y[: self.output_len]
 
     def adjoint(self, y):
         """x = Phi^T y; exact adjoint of :meth:`apply`."""
@@ -127,9 +126,9 @@ class MeasurementOperator:
             raise DimensionError(
                 f"expected output length {self.output_len}, got {y.shape}"
             )
-        z = np.fft.fft(y)
-        blocks = np.fft.ifft(np.conj(self._g) * z[None, :], axis=1)[:, : self.dims.n]
-        return np.ascontiguousarray(blocks.reshape(-1).real)
+        z = np.fft.rfft(y, n=self.fft_len)
+        blocks = np.fft.irfft(np.conj(self._g_half) * z[None, :], n=self.fft_len, axis=1)
+        return blocks[:, : self.dims.n].reshape(-1)
 
     def gram_apply(self, x):
         """Phi^T Phi x (folded only)."""

@@ -19,6 +19,11 @@ from . import rng
 from .errors import DataError, DimensionError
 
 
+def is_integer(value):
+    """True for a Python or numpy integer; bools are not counted."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ProblemDims:
     """Problem sizes: channel length n, probe length m, p sources.
@@ -33,7 +38,7 @@ class ProblemDims:
     def __post_init__(self):
         for name in ("n", "m", "p"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            if not is_integer(value):
                 raise DimensionError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise DimensionError(f"{name} must be >= 1, got {value}")

@@ -47,6 +47,19 @@ class TestConfig:
         with pytest.raises(ParameterError):
             phase_cfg(m_grid=())
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_grid", (4.7,)), ("m_grid", (8.0,)), ("p_grid", (True,)), ("s_grid", (1.9,)),
+        ("s_grid", ("1",)), ("trials", 2.5), ("trials", True),
+    ])
+    def test_rejects_non_integer_sizes(self, field, value):
+        # int() would truncate 4.7 to 4 while record.json kept 4.7
+        with pytest.raises(ParameterError, match=field):
+            phase_cfg(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = phase_cfg(n_grid=(np.int64(4),), s_grid=(np.int32(1),), trials=np.int64(2))
+        assert grid_points(cfg)[0].n == 4
+
     def test_dict_roundtrip(self):
         cfg = phase_cfg(epsilon_grid=(0.0, 0.1), solver=SolverConfig(max_iter=123))
         again = ExperimentConfig.from_dict(cfg.to_dict())
@@ -318,19 +331,20 @@ def test_coded_aperture_preset_calibrated_rate():
 # One tiny config per kind (plus IHT and the block-difference preset); the
 # sha256 of trials.csv and of the sorted-key aggregates JSON were recorded
 # when each kind still had its own runner, so a change to trial selection,
-# seeding or aggregation shows here.
+# seeding or aggregation shows here.  All but rip_scaling were re-recorded
+# when the operators moved to the real-FFT kernel (FROZEN_RECORD_FLAGS held).
 FROZEN_RECORDS = {
     "phase_transition": (
         dict(kind="phase_transition", n_grid=(4,), m_grid=(8,), p_grid=(2,), s_grid=(1, 2),
              trials=2, base_seed=3),
-        "b129f2e2bdadca06a50922c89c9588c911ad08015414a5fc5f0323507f346193",
-        "a5eeda278809002c617947dc30299d770b106a8c79bea7dfa319441f7de3f121",
+        "a1dfd83a3ecefda0fbc9e81d3a3fbe6c316cf485db21cf8cc7569e6382d94951",
+        "56070021c9ff92987509356e95db31e92f5ddb8bd0024b1f5827a8dfb1234b97",
     ),
     "phase_transition_iht": (
         dict(kind="phase_transition", n_grid=(4,), m_grid=(12,), p_grid=(2,), s_grid=(2,),
              trials=2, base_seed=3, method="iht", solver=SolverConfig(max_iter=500)),
-        "2ec360ebe76b7e6ad56b6b46553a88007ab31d935fed22315106761518109a8e",
-        "a341c810944151b63a05bc199773ee2afc5fa6b2abd19d6728890e8e171d4bba",
+        "2460a8e3211ee4430d5e1ba7aa40053425e66fc9cd12da7bf50902c40861258b",
+        "0e05828a56ca6b92a6926d5a1974340a5a5eb4e3700777b11777060afd65ea38",
     ),
     "rip_scaling": (
         dict(kind="rip_scaling", n_grid=(4,), m_grid=(8, 16), p_grid=(2,), s_grid=(2,),
@@ -341,20 +355,20 @@ FROZEN_RECORDS = {
     "stability": (
         dict(kind="stability", n_grid=(4,), m_grid=(12,), p_grid=(2,), s_grid=(1,),
              trials=2, base_seed=5, epsilon_grid=(0.0, 0.05), decay=1.5),
-        "d10c211845c8ceae0b3e4a3a9ae645de0417ba45aa047defe9f49de64f4b1e89",
-        "f00e553e7ad865585db9d40868aa77ecb777dbd50c6624c52699f447bd6e53b5",
+        "511d90ff939a414854cb548ace046d1f78c125bbba0bbcdd94d38f8abc6d4065",
+        "0d187a757dea05ba717718e27b040a9c344c8438ae01a9327409d4890286d74a",
     ),
     "coded_aperture": (
         dict(kind="coded_aperture", n_grid=(4,), m_grid=(8,), p_grid=(2,), s_grid=(2,),
              trials=2, base_seed=8),
-        "fa60f77f9ca280d621205d20f8951ff01538cd73f6d5f6d3c8fe5a09d6af7dcb",
-        "da2f1973da799591218a8ac396e00047d1357cd117a13bd30b59a71d892a3b76",
+        "bc21f0bcb6994bff9528de5c640b0fbaf55bdc92cdf16bea9b3f62263bddeba4",
+        "5f457df64b190bb297eb9141aa3ddc7e396ae50feda34ebb257680e466b03ed7",
     ),
     "coded_aperture_block_difference": (
         dict(kind="coded_aperture", n_grid=(4,), m_grid=(8,), p_grid=(2,), s_grid=(2,),
              trials=2, base_seed=12, block_difference=True),
-        "073d1022aa9ac406241c9c3ff3469bed28a55732588d7bced26e22e819e9bb0d",
-        "5c0693098688cb192e2784b726e88f9dd504941aeb846470fa3c3458f2269970",
+        "b05db7df6431d1c3363922e00135ae317bd1711601cb4e6453d254393ff9b6ce",
+        "0b2ac26b980c5db8cd95dce0984b01c4dfcee16f6db5e7e7193a25fafa8d02fc",
     ),
 }
 
@@ -368,3 +382,21 @@ def test_frozen_record(name, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == trials_sha
     aggregates = json.dumps(record.aggregates, sort_keys=True).encode()
     assert hashlib.sha256(aggregates).hexdigest() == aggregates_sha
+
+
+# (success, converged, note) of each trial, recorded with the complex-FFT
+# operator kernel; a kernel change that moves only float bits keeps them.
+FROZEN_RECORD_FLAGS = {
+    "coded_aperture": [(True, True, "")] * 2,
+    "coded_aperture_block_difference": [(True, True, "")] * 2,
+    "phase_transition": [(True, True, "")] * 4,
+    "phase_transition_iht": [(True, True, "")] * 2,
+    "rip_scaling": [(None, None, "")] * 4,
+    "stability": [(True, True, ""), (True, True, ""), (False, True, ""), (False, True, "")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_RECORD_FLAGS))
+def test_frozen_record_flags(name):
+    record = run_experiment(ExperimentConfig(**FROZEN_RECORDS[name][0]))
+    assert [(t.success, t.converged, t.note) for t in record.trials] == FROZEN_RECORD_FLAGS[name]

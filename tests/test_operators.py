@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsep.budgets import BudgetError
@@ -195,6 +195,16 @@ class TestMatrixFree:
             linear_operator(ps).gram_apply(np.zeros(ps.dims.signal_len))
 
 
+_TINY = np.finfo(np.float64).tiny  # results below the normal range have no relative precision
+
+
+def _case(n, m, p, variant, x=None):
+    op = MeasurementOperator(generate_probes(ProblemDims(n, m, p), 5), variant)
+    rng = np.random.default_rng(n * 1000 + m)
+    x = rng.standard_normal(op.input_len) if x is None else np.asarray(x)
+    return op, x, rng.standard_normal(op.output_len)
+
+
 @st.composite
 def _operator_and_inputs(draw):
     n = draw(st.integers(1, 16))
@@ -209,19 +219,38 @@ def _operator_and_inputs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(case=_operator_and_inputs())
-def test_inverse_transforms_are_real(case):
-    # apply and adjoint keep only the real part of their inverse FFTs; the
-    # probe spectra are conjugate-symmetric, so nothing else is dropped
+@example(case=_case(4, 8, 2, "linear"))  # m+n-1 = 11 padded to L = 12
+@example(case=_case(5, 8, 2, "linear"))  # L = m+n-1 = 12, unpadded
+@example(case=_case(3, 13, 2, "linear"))  # odd L = 15
+@example(case=_case(3, 9, 3, "folded"))  # odd L = m = 9
+@example(case=_case(1, 9, 1, "linear", [5.8e-213]))  # n = 1, tiny input
+@example(case=_case(1, 9, 1, "folded", [5.8e-213]))
+def test_kernel_matches_dense(case):
+    # one real-FFT kernel serves both variants: apply and adjoint equal the
+    # dense matrices, and adjoint is the exact transpose of apply
     op, x, y = case
-    d = op.dims
-    spec = np.fft.fft(x.reshape(d.p, d.n), n=op.output_len, axis=1)
-    forward = np.fft.ifft(np.sum(op._g * spec, axis=0))
-    back = np.fft.ifft(np.conj(op._g) * np.fft.fft(y)[None, :], axis=1)[:, : d.n].reshape(-1)
-    # max |v| <= ||v||, and unlike the norm it does not underflow on tiny inputs
-    assert np.max(np.abs(forward.imag)) <= 1e-12 * np.max(np.abs(x))
-    assert np.max(np.abs(back.imag)) <= 1e-12 * np.max(np.abs(y))
-    assert np.array_equal(op.apply(x), forward.real)
-    assert np.array_equal(op.adjoint(y), back.real)
+    build = build_dense_folded if op.variant is Variant.FOLDED else build_dense_linear
+    dense = build(op.probes)
+    ax, aty = op.apply(x), op.adjoint(y)
+    assert ax.shape == (op.output_len,) and aty.shape == (op.input_len,)
+    # error is relative to |A||x|, which unlike a norm does not underflow
+    assert np.max(np.abs(ax - dense @ x)) <= 1e-12 * np.max(np.abs(dense) @ np.abs(x)) + _TINY
+    assert np.max(np.abs(aty - dense.T @ y)) <= 1e-12 * np.max(np.abs(dense.T) @ np.abs(y)) + _TINY
+    scale = np.abs(y) @ np.abs(dense) @ np.abs(x)
+    assert abs(ax @ y - x @ aty) <= 1e-12 * scale + _TINY
+
+
+@pytest.mark.parametrize("dims, variant, fft_len", [
+    ((4, 8, 2), "linear", 12),
+    ((5, 8, 2), "linear", 12),
+    ((3, 13, 2), "linear", 15),
+    ((3, 9, 3), "folded", 9),
+    ((256, 1024, 16), "linear", 1280),  # m+n-1 = 1279 is prime
+    ((256, 1024, 16), "folded", 1024),
+])
+def test_fft_length(dims, variant, fft_len):
+    op = MeasurementOperator(generate_probes(ProblemDims(*dims), 1), variant)
+    assert op.fft_len == fft_len
 
 
 class TestGramExpansions:
