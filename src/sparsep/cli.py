@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__, fileio, rng
 from .errors import SparsepError
-from .experiments import ExperimentConfig, grid_points, run_experiment
+from .experiments import NUMERICS, ExperimentConfig, grid_points, run_experiment
 from .operators import folded_operator, linear_operator
 from .probes import ProblemDims, generate_probes
 from .solvers import SolverConfig, solve_bpdn, solve_iht, solve_oracle_ls
@@ -223,6 +223,9 @@ def experiment(config_path, out_dir, threads, resume):
         manifest = _read(fileio.read_manifest, manifest_path)
         if manifest.get("config_hash") != cfg_hash:
             _usage("--resume: existing manifest was produced by a different config")
+        if manifest.get("numerics") != NUMERICS:
+            _usage(f"--resume: existing trials were computed with numerics "
+                   f"{manifest.get('numerics')!r}, not {NUMERICS!r}; run without --resume")
         previous = _read(fileio.read_trials_csv, trials_path)
         counts = collections.Counter(row.grid_index for row in previous)
         complete = {gi for gi, c in counts.items() if c >= cfg.trials}
@@ -240,6 +243,7 @@ def experiment(config_path, out_dir, threads, resume):
         manifest_path,
         tool_version=__version__,
         cfg_hash=cfg_hash,
+        numerics=NUMERICS,
         inputs={"config": str(config_path)},
         outputs={"record": str(record_path), "trials": str(trials_path)},
         started_at=started,

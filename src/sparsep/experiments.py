@@ -45,6 +45,10 @@ from .snorm import EXACT, RANDOMIZED, rip_delta
 from .solvers import SolverConfig, solve_bpdn, solve_iht, solve_oracle_ls
 
 KINDS = ("rip_scaling", "phase_transition", "stability", "coded_aperture")
+# Names the arithmetic behind every TrialRow float (operator kernel, solver
+# iterations, Lipschitz constant).  Change it with any change that moves
+# trial bits, so that ``--resume`` never mixes rows of two versions.
+NUMERICS = "rfft-kernel/fista-az-by-linearity/lanczos-norm"
 METHODS = ("bpdn", "iht", "oracle")
 
 _STAB_TAG = 0x57AB

@@ -276,12 +276,14 @@ def read_trials_csv(path):
     return rows
 
 
-def write_manifest(path, tool_version, cfg_hash, inputs, outputs, started_at, finished_at):
+def write_manifest(path, tool_version, cfg_hash, numerics, inputs, outputs, started_at,
+                   finished_at):
     payload = {
         "format_version": FORMAT_VERSION,
         "kind": "run_manifest",
         "tool_version": tool_version,
         "config_hash": cfg_hash,
+        "numerics": numerics,
         "inputs": inputs,
         "outputs": outputs,
         "started_at": started_at,

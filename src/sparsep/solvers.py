@@ -5,9 +5,12 @@
   backtracking and momentum restarts) with root-finding on the penalty so
   the residual lands on the noise budget.  One continuation loop serves
   every eps; eps = 0 drives the residual down to feas_tol * ||y|| instead
-  of literal zero.
+  of literal zero.  Each FISTA iteration makes two operator calls, one
+  ``adjoint`` and one ``apply``, plus one ``apply`` per backtrack.
 * :func:`solve_iht` -- iterative hard thresholding
   x <- H_s(x + mu * Phi^T (y - Phi x)) with a backtracked step.
+* :func:`operator_norm_sq` -- ||Phi||^2 by Lanczos; it sets the first
+  FISTA step and the IHT step.
 * :func:`solve_oracle_ls` -- least squares restricted to a known support;
   the information-unbeatable baseline.
 * :func:`reference_bpdn` -- slow, algorithmically independent solution of
@@ -23,10 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog, minimize
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import BudgetError, DataError, DimensionError, ParameterError
 
-_POWER_SEED_VECTOR = 0x5EED
+_NORM_SEED = 0x5EED
 
 
 @dataclass(frozen=True)
@@ -81,33 +85,32 @@ def _result(x, residual, iterations, converged, method, note=""):
     )
 
 
-def operator_norm_sq(op, iters=200, tol=1e-12):
-    """Power-iteration estimate of ||Phi||^2 = sigma_max(Phi)^2.
+def operator_norm_sq(op):
+    """||Phi||^2 = lambda_max(Phi^T Phi) by Lanczos (ARPACK ``eigsh``).
 
-    Deterministic: the start vector comes from a fixed seed.  Callers that
-    need a guaranteed upper bound pair this with backtracking.
+    Each Lanczos step is one ``apply`` and one ``adjoint``; the value is
+    exact to rounding in a few dozen steps.  Deterministic: the start
+    vector and ARPACK's restart vectors come from a fixed seed, so every
+    call on the same operator returns the same bits, in any thread.
     """
     from . import rng
 
-    def gram(x):
-        return op.adjoint(op.apply(x))
+    n = op.input_len
 
-    v = rng.gaussians(_POWER_SEED_VECTOR, op.input_len)
-    v /= np.linalg.norm(v)
-    w = gram(v)
-    lam = 0.0
-    for _ in range(iters):
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        w = gram(v)
-        lam_new = float(v @ w)
-        if abs(lam_new - lam) <= tol * max(1.0, lam_new):
-            lam = lam_new
-            break
-        lam = lam_new
-    return lam
+    def gram(v):
+        return op.adjoint(op.apply(v))
+
+    if n == 1:  # eigsh needs k < n
+        return float(gram(np.ones(1))[0])
+    v0 = rng.gaussians(_NORM_SEED, n)
+    try:
+        lam = eigsh(LinearOperator((n, n), matvec=gram, dtype=np.float64), k=1,
+                    which="LA", v0=v0, rng=_NORM_SEED, return_eigenvectors=False)
+    except ArpackError:
+        if np.any(gram(v0)):
+            raise
+        return 0.0  # ARPACK cannot start on a zero Gram
+    return float(lam[0])
 
 
 def soft_threshold(v, tau):
@@ -130,12 +133,15 @@ def _fista(op, y, lam, x0, r0, lips, tol, max_iter):
     """l1-penalized least squares min 0.5||Phi x - y||^2 + lam ||x||_1.
 
     Backtracking FISTA with gradient-based momentum restarts, started at
-    x0 with its residual r0 = Phi x0 - y; max_iter >= 1.  Returns
+    x0 with its residual r0 = Phi x0 - y; max_iter >= 1.  Each iteration
+    makes one ``adjoint`` and one ``apply`` (plus one ``apply`` per
+    backtrack): the extrapolated residual Phi z - y follows by linearity
+    from the two latest exact residuals, as in NESTA/TFOCS.  Returns
     (x, Phi x - y, iterations, local Lipschitz estimate).
     """
     x = x0.copy()
     z = x0.copy()
-    rz = r0
+    rx = rz = r0
     t = 1.0
     L = max(lips, 1e-300)
     it = 0
@@ -155,12 +161,16 @@ def _fista(op, y, lam, x0, r0, lips, tol, max_iter):
         if float((z - x_new) @ (x_new - x)) > 0.0:
             t = 1.0  # momentum restart
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        beta = (t - 1.0) / t_new
+        z = x_new + beta * (x_new - x)
         step_ok = np.linalg.norm(x_new - x) <= tol * max(1.0, np.linalg.norm(x_new))
         x, t = x_new, t_new
         if step_ok or it >= max_iter:
             return x, r_new, it, L
-        rz = op.apply(z) - y
+        # Phi z - y from exact residuals, so rounding does not accumulate;
+        # beta = 0 after a restart gives r_new itself
+        rz = r_new + beta * (r_new - rx)
+        rx = r_new
 
 
 def solve_bpdn(op, y, epsilon, cfg):
@@ -174,7 +184,9 @@ def solve_bpdn(op, y, epsilon, cfg):
     converges to the minimum-l1 interpolator as lam -> 0).  If the bracket
     shrinks to adjacent floats, the search restarts once with 1000x tighter
     inner solves; a second collapse stops unconverged with the note
-    "lambda bracket collapsed".
+    "lambda bracket collapsed".  The inner FISTA solves start at step
+    1/(1.01 ||Phi||^2), with ||Phi||^2 from Lanczos (:func:`operator_norm_sq`),
+    and make two operator calls per iteration.
     """
     if not epsilon >= 0:
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
@@ -247,7 +259,7 @@ def solve_bpdn(op, y, epsilon, cfg):
 def solve_iht(op, y, s, cfg):
     """Iterative hard thresholding toward an s-sparse estimate.
 
-    Each step starts at 1/||Phi||^2 and is halved until the residual does
+    Each step starts at 1/||Phi||^2 (Lanczos, :func:`operator_norm_sq`) and is halved until the residual does
     not increase.  Stops when the iterate change drops below
     opt_tol * ||x||, when 60 halvings find no such step (the iterate is
     then stationary), or when max_iter is reached.

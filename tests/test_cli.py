@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from sparsep import fileio
 from sparsep.cli import main
+from sparsep.experiments import NUMERICS
 from sparsep.operators import linear_operator
 from sparsep.probes import ProblemDims, generate_probes
 from sparsep.rng import derive_seed
@@ -210,14 +211,15 @@ class TestRecover:
                                       "--out-json", str(tmp_path / "r.json")])
         assert result.exit_code == 4
 
-    # sha256 of the recovery JSON and of the estimate CSV, re-recorded when the
-    # operators moved to the real-FFT kernel (x_hat moved by at most 3.7e-16
-    # relative, iterations and flags held); any bit that moves shows here.
+    # sha256 of the recovery JSON and of the estimate CSV, re-recorded when
+    # FISTA took Phi z by linearity and ||Phi||^2 came from Lanczos (x_hat
+    # moved by at most 2.5e-16 relative, iterations and flags held); any bit
+    # that moves shows here.
     @pytest.mark.parametrize("variant, noise, json_sha, csv_sha", [
-        ("folded", 0.0, "a4da333abbc35055e51d3e661f64a29a120dfae68faccfc7bd90483ff9885183",
-         "e5c9543faf9e34c9ad904a2e6fa4f038dae7e398b55cfbd73abc2dc71dc0ca4b"),
-        ("linear", 0.05, "6f6d2f73bfe3c0d457a57e3b68321969d095c76a3f2189f8fc21044ce8f6f314",
-         "5470b2e9c0a9e2bb6be060a4f1ab85b5ec41c1325ae9b509847534c4c3b7e08e"),
+        ("folded", 0.0, "517aeb23a45fadd8f1dc4e8f0546409ff255faea96a9bf092afd370933d386e0",
+         "4ec87c774a6c48871dfd3f8f08ace2572482c1b2216efa1129c9dee419b5bdbe"),
+        ("linear", 0.05, "48ed6164fdf10af1fc69fa2458e5075b84a97a099011a49a2f8cdda348f8e45c",
+         "b1d2c95be37af028e7c8bff41da69a44f16c8e14239f29703d562252129e32f7"),
     ], ids=["folded-0.0", "linear-0.05"])
     def test_frozen_output(self, runner, tmp_path, variant, noise, json_sha, csv_sha):
         probes = gen(runner, tmp_path, n=16, m=64, p=4, seed=21)
@@ -319,6 +321,28 @@ class TestExperiment:
                                       "--out-dir", str(out), "--resume"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("numerics", [None, "complex-fft/fista-3-calls/power-iteration"],
+                             ids=["missing", "other"])
+    def test_resume_rejects_other_numerics(self, runner, tmp_path, numerics):
+        # rows computed by other arithmetic differ from a fresh run's in their
+        # last bits; resuming would mix both in one trials.csv
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert invoke(runner, "experiment", "--config", cfg, "--out-dir", out).exit_code == 0
+        path = out / "manifest.json"
+        manifest = json.loads(path.read_text())
+        if numerics is None:
+            del manifest["numerics"]
+        else:
+            manifest["numerics"] = numerics
+        path.write_text(json.dumps(manifest))
+        trials = (out / "trials.csv").read_bytes()
+        result = invoke(runner, "experiment", "--config", cfg, "--out-dir", out, "--resume")
+        assert result.exit_code == 2
+        assert "numerics" in result.output
+        assert (out / "trials.csv").read_bytes() == trials
+        assert json.loads(path.read_text()) == manifest
+
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_exit_2(self, runner, tmp_path, threads):
         cfg = self.write_config(tmp_path)
@@ -380,4 +404,5 @@ class TestExperiment:
         manifest = fileio.read_manifest(out / "manifest.json")
         expected = fileio.config_hash(ExperimentConfig.from_dict(self.CONFIG))
         assert manifest["config_hash"] == expected
+        assert manifest["numerics"] == NUMERICS
         assert manifest["tool_version"]

@@ -332,13 +332,15 @@ def test_coded_aperture_preset_calibrated_rate():
 # sha256 of trials.csv and of the sorted-key aggregates JSON were recorded
 # when each kind still had its own runner, so a change to trial selection,
 # seeding or aggregation shows here.  All but rip_scaling were re-recorded
-# when the operators moved to the real-FFT kernel (FROZEN_RECORD_FLAGS held).
+# when the operators moved to the real-FFT kernel, and all but rip_scaling
+# and phase_transition_iht again when FISTA took Phi z by linearity and
+# ||Phi||^2 came from Lanczos (FROZEN_RECORD_FLAGS held both times).
 FROZEN_RECORDS = {
     "phase_transition": (
         dict(kind="phase_transition", n_grid=(4,), m_grid=(8,), p_grid=(2,), s_grid=(1, 2),
              trials=2, base_seed=3),
-        "a1dfd83a3ecefda0fbc9e81d3a3fbe6c316cf485db21cf8cc7569e6382d94951",
-        "56070021c9ff92987509356e95db31e92f5ddb8bd0024b1f5827a8dfb1234b97",
+        "fa744823415fca7f04d9406451cdba4d6aa8f9d7532ea13b7bea21898d51f709",
+        "b5238289b92af254191e4cc5becc4bcf685b1b4bb6652d4f724bf3f64ed0565a",
     ),
     "phase_transition_iht": (
         dict(kind="phase_transition", n_grid=(4,), m_grid=(12,), p_grid=(2,), s_grid=(2,),
@@ -355,20 +357,20 @@ FROZEN_RECORDS = {
     "stability": (
         dict(kind="stability", n_grid=(4,), m_grid=(12,), p_grid=(2,), s_grid=(1,),
              trials=2, base_seed=5, epsilon_grid=(0.0, 0.05), decay=1.5),
-        "511d90ff939a414854cb548ace046d1f78c125bbba0bbcdd94d38f8abc6d4065",
-        "0d187a757dea05ba717718e27b040a9c344c8438ae01a9327409d4890286d74a",
+        "b4a1c256cbd333e7f3a61c280227cc6e39587bd1bc341044133b4c1442b9ddc3",
+        "5c57ac0eebfacb2779125e2a0f2d3a9563ad4f40dc56cea7c428732d886ba0fa",
     ),
     "coded_aperture": (
         dict(kind="coded_aperture", n_grid=(4,), m_grid=(8,), p_grid=(2,), s_grid=(2,),
              trials=2, base_seed=8),
-        "bc21f0bcb6994bff9528de5c640b0fbaf55bdc92cdf16bea9b3f62263bddeba4",
-        "5f457df64b190bb297eb9141aa3ddc7e396ae50feda34ebb257680e466b03ed7",
+        "be6382cb2b6f9ef256275b80f2eeabf7908b9f70912426a9aa74d1241f28102b",
+        "6ec395f29b50d932c36b4542056921253aec70f392367291e47d44c4e2ed38d3",
     ),
     "coded_aperture_block_difference": (
         dict(kind="coded_aperture", n_grid=(4,), m_grid=(8,), p_grid=(2,), s_grid=(2,),
              trials=2, base_seed=12, block_difference=True),
-        "b05db7df6431d1c3363922e00135ae317bd1711601cb4e6453d254393ff9b6ce",
-        "0b2ac26b980c5db8cd95dce0984b01c4dfcee16f6db5e7e7193a25fafa8d02fc",
+        "4122cd67f6623262e2c192728368599fc5d568895f880ead154830d1bbe8755c",
+        "26b6738538e8b7c3f4090c31cf3d4096bd45baa168fa1504dcab2f509012a373",
     ),
 }
 

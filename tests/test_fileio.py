@@ -190,12 +190,13 @@ def test_record_json_written(tmp_path):
 def test_manifest_roundtrip(tmp_path):
     path = tmp_path / "manifest.json"
     fileio.write_manifest(
-        path, tool_version="0.1.0", cfg_hash="ab" * 32,
+        path, tool_version="0.1.0", cfg_hash="ab" * 32, numerics="kernel-v1",
         inputs={"config": "c.json"}, outputs={"record": "r.json"},
         started_at="2020-01-01T00:00:00+00:00", finished_at="2020-01-01T00:00:01+00:00",
     )
     manifest = fileio.read_manifest(path)
     assert manifest["config_hash"] == "ab" * 32
+    assert manifest["numerics"] == "kernel-v1"
     assert manifest["tool_version"] == "0.1.0"
 
 
