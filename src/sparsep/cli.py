@@ -111,8 +111,8 @@ def simulate(probes_path, channels_path, sparsity, channel_seed, noise_eps,
             rng.derive_seed(channel_seed, 1), rng.derive_seed(channel_seed, 2),
             dims.signal_len, sparsity,
         )
-    if noise_eps < 0:
-        _usage("--noise-eps must be >= 0")
+    if not 0.0 <= noise_eps < np.inf:
+        _usage(f"--noise-eps must be finite and >= 0, got {noise_eps}")
 
     op_lin = linear_operator(probes)
     y = op_lin.apply(h)
@@ -168,9 +168,10 @@ def recover(probes_path, meas_path, method, epsilon, s_target, support,
             if support is None:
                 _usage("--method oracle requires --support")
             # flag is 1-based per the format convention; arrays are 0-based
-            indices = [int(tok) - 1 for tok in support.split(",") if tok.strip() != ""]
-            if any(i < 0 for i in indices):
-                _usage("--support indices are 1-based and must be >= 1")
+            tokens = [tok.strip() for tok in support.split(",") if tok.strip() != ""]
+            if not all(tok.isdecimal() and int(tok) >= 1 for tok in tokens):
+                _usage(f"--support must be comma-separated 1-based indices, got {support!r}")
+            indices = [int(tok) - 1 for tok in tokens]
             result = solve_oracle_ls(op, y, indices)
     except SparsepError as exc:
         _usage(str(exc))
@@ -208,7 +209,7 @@ def experiment(config_path, out_dir, threads, resume):
         _usage(f"malformed config JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     try:
         cfg = ExperimentConfig.from_dict(raw)
-    except (SparsepError, TypeError) as exc:
+    except SparsepError as exc:
         _usage(f"invalid config: {exc}")
     cfg_hash = fileio.config_hash(cfg)
 
@@ -233,7 +234,10 @@ def experiment(config_path, out_dir, threads, resume):
         click.echo(f"resume: reusing {len(complete)} complete grid points")
 
     started = _utc_now()
-    record = run_experiment(cfg, threads=threads, reuse=reuse)
+    try:
+        record = run_experiment(cfg, threads=threads, reuse=reuse)
+    except SparsepError as exc:  # e.g. an epsilon so large that ||y||^2 overflows
+        _usage(f"config cannot be run: {exc}")
     finished = _utc_now()
 
     _guard_io(fileio.write_trials_csv, trials_path, record.trials)

@@ -33,23 +33,24 @@ import functools
 import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
 from . import rng
 from .errors import BudgetError, ParameterError
 from .operators import folded_operator, linear_operator
-from .probes import ProblemDims, generate_probes, is_integer
+from .probes import ProblemDims, generate_probes, is_finite, is_integer
 from .snorm import EXACT, RANDOMIZED, rip_delta
 from .solvers import SolverConfig, solve_bpdn, solve_iht, solve_oracle_ls
 
 KINDS = ("rip_scaling", "phase_transition", "stability", "coded_aperture")
 # Names the arithmetic behind every TrialRow float (operator kernel, solver
-# iterations, Lipschitz constant).  Change it with any change that moves
-# trial bits, so that ``--resume`` never mixes rows of two versions.
-NUMERICS = "rfft-kernel/fista-az-by-linearity/lanczos-norm"
+# iterations, Lipschitz constant, restricted-norm Gram).  Change it with any
+# change that moves trial bits, so that ``--resume`` never mixes rows of two versions.
+NUMERICS = "rfft-kernel/fista-az-by-linearity/lanczos-norm/lag-gram-delta"
 METHODS = ("bpdn", "iht", "oracle")
+_GRIDS = ("n_grid", "m_grid", "p_grid", "s_grid", "epsilon_grid")
 
 _STAB_TAG = 0x57AB
 
@@ -72,21 +73,29 @@ class ExperimentConfig:
     block_difference: bool = False
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ParameterError(f"unknown experiment kind {self.kind!r}")
-        if self.method not in METHODS:
-            raise ParameterError(f"unknown method {self.method!r}")
-        for name in ("n_grid", "m_grid", "p_grid", "s_grid", "epsilon_grid"):
+        for name in _GRIDS:
             grid = tuple(getattr(self, name))
             object.__setattr__(self, name, grid)
             if not grid:
                 raise ParameterError(f"{name} must be non-empty")
             if name != "epsilon_grid" and not all(map(is_integer, grid)):
                 raise ParameterError(f"{name} values must be integers, got {list(grid)}")
-        if not is_integer(self.trials) or self.trials < 1:
-            raise ParameterError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if self.success_threshold <= 0:
-            raise ParameterError("success_threshold must be positive")
+        threshold = self.success_threshold
+        for name, ok, need in (
+            ("kind", self.kind in KINDS, f"one of {KINDS}"),
+            ("method", self.method in METHODS, f"one of {METHODS}"),
+            ("snorm_mode", self.snorm_mode in (EXACT, RANDOMIZED), f"{EXACT!r} or {RANDOMIZED!r}"),
+            ("epsilon_grid", all(is_finite(eps, 0.0) for eps in self.epsilon_grid),
+             "finite values >= 0"),
+            ("trials", is_integer(self.trials) and self.trials >= 1, "an integer >= 1"),
+            ("base_seed", is_integer(self.base_seed), "an integer"),
+            ("success_threshold", is_finite(threshold, 0.0) and threshold > 0, "finite and > 0"),
+            ("decay", is_finite(self.decay, 0.0), "finite and >= 0"),
+            ("block_difference", isinstance(self.block_difference, bool), "true or false"),
+            ("solver", isinstance(self.solver, SolverConfig), "an object of SolverConfig fields"),
+        ):
+            if not ok:
+                raise ParameterError(f"{name} must be {need}, got {getattr(self, name)!r}")
         s_min = 1 if self.kind == "rip_scaling" else 0
         grids = (self.n_grid, self.m_grid, self.p_grid, self.s_grid)
         for n, m, p, s in itertools.product(*grids):
@@ -95,28 +104,36 @@ class ExperimentConfig:
                 raise ParameterError(
                     f"s={s} is outside [{s_min}, n*p={dims.signal_len}] at n={n}, p={p}"
                 )
-        for eps in self.epsilon_grid:
-            if not 0.0 <= float(eps) < np.inf:
-                raise ParameterError(f"epsilon_grid values must be finite and >= 0, got {eps}")
 
     def to_dict(self):
         d = asdict(self)
-        for name in ("n_grid", "m_grid", "p_grid", "s_grid", "epsilon_grid"):
+        for name in _GRIDS:
             d[name] = list(d[name])
         return d
 
     @classmethod
     def from_dict(cls, raw):
+        """Config from parsed JSON; a scalar grid is a one-point grid."""
+        _check_names(cls, raw, "config")
         raw = dict(raw)
-        solver = raw.pop("solver", {})
-        if isinstance(solver, dict):
-            solver = SolverConfig(**solver)
-        grids = {}
-        for name in ("n_grid", "m_grid", "p_grid", "s_grid", "epsilon_grid"):
-            if name in raw:
-                value = raw.pop(name)
-                grids[name] = tuple(value) if isinstance(value, (list, tuple)) else (value,)
-        return cls(solver=solver, **grids, **raw)
+        if isinstance(raw.get("solver"), dict):
+            _check_names(SolverConfig, raw["solver"], "solver")
+            raw["solver"] = SolverConfig(**raw["solver"])
+        for name in _GRIDS:
+            if name in raw and not isinstance(raw[name], (list, tuple)):
+                raw[name] = (raw[name],)
+        return cls(**raw)
+
+
+def _check_names(cls, raw, what):
+    """ParameterError unless ``raw`` is a dict naming each required field of ``cls``, no other."""
+    if not isinstance(raw, dict):
+        raise ParameterError(f"{what} must be a JSON object, got {type(raw).__name__}")
+    required = {f.name: f.default is MISSING for f in fields(cls)}
+    unknown = sorted(set(raw) - set(required))
+    missing = sorted(name for name, needed in required.items() if needed and name not in raw)
+    if unknown or missing:
+        raise ParameterError(f"{what}: unknown fields {unknown}, missing fields {missing}")
 
 
 @dataclass(frozen=True)
@@ -165,14 +182,8 @@ class ExperimentRecord:
 
 def grid_points(cfg):
     """Cartesian grid in (n, m, p, s, epsilon) order; index order is fixed."""
-    points = []
-    for n in cfg.n_grid:
-        for m in cfg.m_grid:
-            for p in cfg.p_grid:
-                for s in cfg.s_grid:
-                    for eps in cfg.epsilon_grid:
-                        points.append(GridPoint(int(n), int(m), int(p), int(s), float(eps)))
-    return points
+    grids = itertools.product(*(getattr(cfg, name) for name in _GRIDS))
+    return [GridPoint(int(n), int(m), int(p), int(s), float(eps)) for n, m, p, s, eps in grids]
 
 
 def _powerlaw_channel(seed_order, seed_sign, size, decay):
@@ -244,19 +255,9 @@ def _psnr(x_hat, h):
     return float(10.0 * np.log10(peak**2 / mse))
 
 
-def _row(gi, gp, trial, trial_seed, start, **fields):
-    return TrialRow(
-        grid_index=gi,
-        trial_index=trial,
-        seed=trial_seed,
-        n=gp.n,
-        m=gp.m,
-        p=gp.p,
-        s=gp.s,
-        epsilon=gp.epsilon,
-        wall_time=time.perf_counter() - start,
-        **fields,
-    )
+def _row(gi, gp, trial, trial_seed, start, **columns):
+    return TrialRow(grid_index=gi, trial_index=trial, seed=trial_seed, **asdict(gp),
+                    wall_time=time.perf_counter() - start, **columns)
 
 
 def _recover_and_score(cfg, gi, gp, trial, start, op, target, h, to_image=None, psnr=False):
@@ -349,14 +350,7 @@ def _binomial_se(rate, trials):
 
 
 def _point_summary(point, rows):
-    out = {
-        "n": point.n,
-        "m": point.m,
-        "p": point.p,
-        "s": point.s,
-        "epsilon": point.epsilon,
-        "trials": len(rows),
-    }
+    out = {**asdict(point), "trials": len(rows)}
     errors = [r.relative_error for r in rows if r.relative_error is not None]
     if errors:
         out["median_error"] = float(np.median(errors))

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DataError, DimensionError, FormatError
 from .experiments import ExperimentConfig, TrialRow
-from .probes import ProblemDims, ProbeSet
+from .probes import ProblemDims, ProbeSet, is_finite
 
 FORMAT_VERSION = 1
 
@@ -156,8 +156,7 @@ def read_measurements(path):
     if variant not in ("linear", "folded"):
         raise FormatError(f"{path}: header 'variant' must be 'linear' or 'folded', got {variant!r}")
     epsilon = header.get("epsilon", 0.0)
-    numeric = isinstance(epsilon, (int, float)) and not isinstance(epsilon, bool)
-    if not (numeric and np.isfinite(epsilon)):
+    if not is_finite(epsilon):
         raise FormatError(f"{path}: header 'epsilon' must be a finite number, got {epsilon!r}")
     expected = m if variant == "folded" else m + n - 1
     if values.size != expected:

@@ -137,6 +137,30 @@ class MeasurementOperator:
         return self.adjoint(self.apply(x))
 
 
+class LagGram:
+    """Phi^T Phi of an operator, indexed by lag.
+
+    On the operator's length-L transform grid, column (k, j) of Phi is
+    phi_k shifted by j plus a fixed offset, so entry ((k, j), (l, i)) of
+    Phi^T Phi is the circular cross-correlation ``lags[k, l, (j - i) mod L]``
+    with ``lags[k, l] = irfft(conj(g_k) g_l)`` over the operator's half
+    spectra.  Folded: L = m.  Linear: L >= m + n - 1, so no lag wraps.
+    The table holds p * p * L floats.
+    """
+
+    def __init__(self, op):
+        g = op._g_half
+        self.lags = np.fft.irfft(np.conj(g)[:, None, :] * g[None, :, :], n=op.fft_len, axis=-1)
+        self.n, self.p, self.fft_len = op.dims.n, op.dims.p, op.fft_len
+
+    def residual_blocks(self, idx):
+        """Principal blocks (I - Phi^T Phi)[idx, idx] for indices of shape (..., s)."""
+        k, j = np.divmod(np.asarray(idx), self.n)
+        pair = k[..., :, None] * self.p + k[..., None, :]
+        lag = (j[..., :, None] - j[..., None, :]) % self.fft_len
+        return np.eye(k.shape[-1]) - self.lags.reshape(-1)[pair * self.fft_len + lag]
+
+
 def linear_operator(probes):
     return MeasurementOperator(probes, Variant.LINEAR)
 

@@ -11,6 +11,7 @@ Conventions: arrays are 0-based internally; the unitary DFT matrix used
 throughout is ``F(w, t) = exp(-2j*pi*w*t/m) / sqrt(m)``.
 """
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,13 @@ from .errors import DataError, DimensionError
 def is_integer(value):
     """True for a Python or numpy integer; bools are not counted."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_finite(value, low=-sys.float_info.max):
+    """True for a real number in [low, float64 max]; bools, NaN, inf and huge ints fail."""
+    if isinstance(value, (float, np.floating)):
+        return bool(np.isfinite(value)) and float(value) >= low
+    return is_integer(value) and low <= value <= sys.float_info.max
 
 
 @dataclass(frozen=True)

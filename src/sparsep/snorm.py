@@ -5,16 +5,20 @@ vectors x, y sharing a support of size at most s; on a common support it
 equals the spectral norm of the principal submatrix, and it is monotone
 in s, so enumerating supports of size exactly s suffices.
 
-Exact mode enumerates all supports lexicographically (deterministic
-first-found tie-break) and is gated by the enumeration budget
-C(N, s) * s^3.  Randomized mode samples supports and sharpens each with a
-steepest single-swap ascent; it is a lower bound on the exact value and
-reproducible given its seed.  Each ascent step scores all s * (N - s)
-swaps as one batch, in (position, outside index) order with each
-candidate support sorted, and moves to the first strict maximum above the
-current value.  For delta_s, randomized mode reads I - Phi^T Phi from a
-p x p x m lag table (``LagGram``) and needs no dense budget; exact mode
-keeps the dense Gram as an independent reference.
+Both modes see A only through ``blocks(idx)``, its principal submatrices
+for a (B, s) batch of supports.  Exact mode enumerates all supports
+lexicographically (deterministic first-found tie-break) and is gated by
+the enumeration budget C(N, s) * s^3.  Randomized mode samples supports
+and sharpens each with a steepest single-swap ascent; it is a lower bound
+on the exact value and reproducible given its seed.  Each ascent step
+scores all s * (N - s) swaps as one batch, in (position, outside index)
+order with each candidate support sorted, and moves to the first strict
+maximum above the current value.  For delta_s, both modes read
+I - Phi^T Phi from the operator's p x p x m lag table
+(``operators.LagGram``), so no N x N matrix is held.  Shifting every index
+of a support by the same within-block offset leaves its lag-table block
+unchanged, so the exact tie-break returns a support with an index at
+offset 0.
 """
 
 from dataclasses import dataclass
@@ -25,7 +29,8 @@ import numpy as np
 
 from . import budgets, rng
 from .errors import DimensionError, ParameterError
-from .operators import build_dense_folded
+from .operators import LagGram, folded_operator
+from .operators import build_dense_folded  # noqa: F401  perfbench/tracer.py wraps it by name
 
 EXACT = "exact"
 RANDOMIZED = "randomized_lower_bound"
@@ -48,29 +53,6 @@ class SNormResult:
     trials: int = 0
 
 
-class LagGram:
-    """Phi^T Phi of the folded operator, indexed by lag.
-
-    Column (k, j) of Phi is phi_k circularly shifted by j - n + 1, so entry
-    ((k, j), (l, i)) of Phi^T Phi is the circular cross-correlation
-    ``lags[k, l, (j - i) mod m]`` with ``lags[k, l] = irfft(conj(g_k) g_l)``.
-    The table holds p * p * m floats.
-    """
-
-    def __init__(self, probes):
-        d = probes.dims
-        half = probes.g[:, : d.m // 2 + 1]
-        self.lags = np.fft.irfft(np.conj(half)[:, None, :] * half[None, :, :], n=d.m, axis=-1)
-        self.n, self.m, self.p = d.n, d.m, d.p
-
-    def residual_blocks(self, idx):
-        """Principal blocks (I - Phi^T Phi)[idx, idx] for indices of shape (..., s)."""
-        k, j = np.divmod(np.asarray(idx), self.n)
-        pair = k[..., :, None] * self.p + k[..., None, :]
-        lag = (j[..., :, None] - j[..., None, :]) % self.m
-        return np.eye(k.shape[-1]) - self.lags.reshape(-1)[pair * self.m + lag]
-
-
 def _spectral_norms(stack, symmetric):
     """Spectral norm of each matrix in a (batch, s, s) stack."""
     if stack.shape[-1] == 1:
@@ -80,10 +62,6 @@ def _spectral_norms(stack, symmetric):
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
-def _is_symmetric(a):
-    return np.array_equal(a, a.T) or np.allclose(a, a.T, rtol=0.0, atol=1e-12)
-
-
 def _check_args(n, s):
     if s < 1:
         raise ParameterError(f"s must be >= 1, got {s}")
@@ -91,11 +69,28 @@ def _check_args(n, s):
         raise DimensionError(f"s={s} exceeds matrix size {n}")
 
 
-def _square(a):
+def _dense(a):
+    """(blocks, size, symmetric) of a dense square matrix."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"need a square matrix, got shape {a.shape}")
-    return a
+    symmetric = np.array_equal(a, a.T) or np.allclose(a, a.T, rtol=0.0, atol=1e-12)
+    return (lambda idx: a[idx[..., :, None], idx[..., None, :]]), a.shape[0], symmetric
+
+
+def _enumerate(blocks, size, symmetric, s):
+    """snorm_exact over ``blocks``: supports (B, s) -> blocks (B, s, s)."""
+    _check_args(size, s)
+    budgets.check_enum(comb(size, s) * s**3, "exact s-norm")
+    best_value = -1.0
+    best_support = None
+    supports = combinations(range(size), s)
+    while chunk := list(islice(supports, _CHUNK)):
+        values = _spectral_norms(blocks(np.asarray(chunk)), symmetric)
+        local = int(np.argmax(values))
+        if values[local] > best_value:
+            best_value, best_support = float(values[local]), chunk[local]
+    return SNormResult(s=s, value=best_value, mode=EXACT, argmax_support=tuple(best_support))
 
 
 def snorm_exact(a, s):
@@ -105,27 +100,7 @@ def snorm_exact(a, s):
     the first support found.  Raises BudgetError when C(N, s) * s^3
     exceeds the enumeration budget.
     """
-    a = _square(a)
-    n = a.shape[0]
-    _check_args(n, s)
-    budgets.check_enum(comb(n, s) * s**3, "exact s-norm")
-    symmetric = _is_symmetric(a)
-
-    best_value = -1.0
-    best_support = None
-    supports = combinations(range(n), s)
-    while True:
-        chunk = list(islice(supports, _CHUNK))
-        if not chunk:
-            break
-        idx = np.asarray(chunk)
-        sub = a[idx[:, :, None], idx[:, None, :]]
-        values = _spectral_norms(sub, symmetric)
-        local = int(np.argmax(values))
-        if values[local] > best_value:
-            best_value = float(values[local])
-            best_support = chunk[local]
-    return SNormResult(s=s, value=best_value, mode=EXACT, argmax_support=tuple(best_support))
+    return _enumerate(*_dense(a), s)
 
 
 def _swap_ascent(blocks, size, symmetric, s, trials, seed, swap_cap_factor=5):
@@ -171,12 +146,7 @@ def snorm_randomized(a, s, trials, seed, swap_cap_factor=5):
     submatrix evaluations per trial.  Deterministic given the seed; the
     result never exceeds the exact norm.
     """
-    a = _square(a)
-
-    def blocks(idx):
-        return a[idx[..., :, None], idx[..., None, :]]
-
-    return _swap_ascent(blocks, a.shape[0], _is_symmetric(a), s, trials, seed, swap_cap_factor)
+    return _swap_ascent(*_dense(a), s, trials, seed, swap_cap_factor)
 
 
 def rip_delta(probes, s, mode=EXACT, trials=100, seed=0):
@@ -184,14 +154,14 @@ def rip_delta(probes, s, mode=EXACT, trials=100, seed=0):
 
     The returned delta certifies (1 - delta)||x||^2 <= ||Phi x||^2 <=
     (1 + delta)||x||^2 for every s-sparse x (with equality attainable on
-    the argmax support in exact mode).  Only exact mode is budget-gated.
+    the argmax support in exact mode).  Both modes read the folded
+    operator's lag table; only exact mode is budget-gated, by its
+    enumeration.
     """
+    blocks = LagGram(folded_operator(probes)).residual_blocks
     size = probes.dims.signal_len
     if mode == EXACT:
-        budgets.check_dense(size * size, "dense Gram")
-        phi = build_dense_folded(probes)
-        z = np.eye(size) - phi.T @ phi
-        return snorm_exact(z, s)
+        return _enumerate(blocks, size, True, s)
     if mode == RANDOMIZED:
-        return _swap_ascent(LagGram(probes).residual_blocks, size, True, s, trials, seed)
+        return _swap_ascent(blocks, size, True, s, trials, seed)
     raise ParameterError(f"unknown mode {mode!r}")

@@ -29,6 +29,7 @@ from scipy.optimize import linprog, minimize
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import BudgetError, DataError, DimensionError, ParameterError
+from .probes import is_finite, is_integer
 
 _NORM_SEED = 0x5EED
 
@@ -42,10 +43,10 @@ class SolverConfig:
     opt_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        if not (self.feas_tol > 0 and self.opt_tol > 0):
-            raise ParameterError("tolerances must be positive")
+        if not is_integer(self.max_iter) or self.max_iter < 1:
+            raise ParameterError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if not all(is_finite(tol) and tol > 0 for tol in (self.feas_tol, self.opt_tol)):
+            raise ParameterError("tolerances must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,19 @@
+import dataclasses
 import hashlib
 import json
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsep import fileio
 from sparsep.cli import main
-from sparsep.experiments import NUMERICS
+from sparsep.experiments import NUMERICS, ExperimentConfig
 from sparsep.operators import linear_operator
 from sparsep.probes import ProblemDims, generate_probes
 from sparsep.rng import derive_seed
@@ -95,6 +100,16 @@ class TestSimulate:
         _, y0 = fileio.read_measurements(clean)
         _, y1 = fileio.read_measurements(noisy)
         assert abs(np.linalg.norm(y1 - y0) - 0.1) < 1e-12
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_unusable_noise_eps_exit_2(self, runner, tmp_path, eps):
+        probes = gen(runner, tmp_path)
+        out = tmp_path / "y.csv"
+        result = runner.invoke(main, ["simulate", "--probes", str(probes), "--random-sparse", "2",
+                                      "--noise-eps", eps, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--noise-eps" in result.output
+        assert not out.exists()
 
     def test_requires_exactly_one_channel_source(self, runner, tmp_path):
         probes = gen(runner, tmp_path)
@@ -189,6 +204,17 @@ class TestRecover:
                                       "--out-json", str(out_json)])
         assert result.exit_code == 2, result.output
         assert "epsilon" in result.output
+        assert not out_json.exists()
+
+    @pytest.mark.parametrize("support", ["1,x", "1.5", "0", "-1", "2,,0"])
+    def test_unusable_support_exit_2(self, runner, tmp_path, support):
+        probes, y, _ = self.setup_instance(runner, tmp_path)
+        out_json = tmp_path / "r.json"
+        result = runner.invoke(main, ["recover", "--probes", str(probes),
+                                      "--measurements", str(y), "--method", "oracle",
+                                      "--support", support, "--out-json", str(out_json)])
+        assert result.exit_code == 2, result.output
+        assert "--support" in result.output
         assert not out_json.exists()
 
     @pytest.mark.parametrize("scale", [1e-170, 1e200])
@@ -387,6 +413,45 @@ class TestExperiment:
         assert "invalid config" in result.output
         assert not (out / "trials.csv").exists()
 
+    @pytest.mark.parametrize("config", [
+        "abc", [], 5, None,
+        dict(CONFIG, solver="x"),
+        dict(CONFIG, solver={"max_iter": "x"}),
+        dict(CONFIG, solver={"feas_tol": None}),
+        dict(CONFIG, epsilon_grid=["a"]),
+        dict(CONFIG, epsilon_grid=[None]),
+        dict(CONFIG, epsilon_grid=[True]),
+        dict(CONFIG, kind="rip_scaling", snorm_mode="x"),
+        dict(CONFIG, kind="stability", decay="x"),
+        dict(CONFIG, base_seed="x"),
+        dict(CONFIG, success_threshold="x"),
+        dict(CONFIG, success_threshold=float("nan")),
+        dict(CONFIG, block_difference="yes"),
+        dict(CONFIG, unknown_field=1),
+        {k: v for k, v in CONFIG.items() if k != "kind"},
+    ], ids=["string", "list", "number", "null", "string-solver", "string-max-iter",
+            "null-tolerance", "string-eps", "null-eps", "bool-eps", "unknown-snorm-mode",
+            "string-decay", "string-seed", "string-threshold", "nan-threshold",
+            "string-flag", "unknown-field", "missing-kind"])
+    def test_ill_typed_config_exit_2(self, runner, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["experiment", "--config", str(cfg), "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "invalid config" in result.output
+        assert not (out / "trials.csv").exists()
+
+    def test_config_that_fails_to_run_exit_2(self, runner, tmp_path):
+        # finite, but the noise makes ||y||^2 overflow in the solver
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(self.CONFIG, epsilon_grid=[1e300])))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["experiment", "--config", str(cfg), "--out-dir", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "rescale y" in result.output
+        assert not (out / "trials.csv").exists()
+
     def test_malformed_json_exit_2_with_position(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"kind": phase_transition}')
@@ -406,3 +471,34 @@ class TestExperiment:
         assert manifest["config_hash"] == expected
         assert manifest["numerics"] == NUMERICS
         assert manifest["tool_version"]
+
+
+# Small integers keep every valid config a small run: a large but valid
+# trials or grid value is slow work, not bad input.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 16) | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["phase_transition", "rip_scaling", "stability", "coded_aperture",
+                       "bpdn", "iht", "oracle", "exact", "randomized_lower_bound"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["max_iter", "feas_tol", "opt_tol"]) | st.text(max_size=4), inner,
+        max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    field=st.sampled_from([f.name for f in dataclasses.fields(ExperimentConfig)] + ["extra"]),
+    value=_JSON_VALUES,
+)
+@example(field="solver", value="x")
+@example(field="epsilon_grid", value=["a"])
+def test_any_json_value_for_one_field_exits_0_or_2(field, value):
+    config = {"kind": "phase_transition", "n_grid": [4], "m_grid": [8], "p_grid": [2],
+              "s_grid": [1], "trials": 1, "base_seed": 3, "method": "bpdn", field: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        result = CliRunner().invoke(main, ["experiment", "--config", str(cfg),
+                                           "--out-dir", str(Path(tmp) / "out")])
+    assert result.exit_code in (0, 2), (result.output, result.exception)

@@ -80,7 +80,7 @@ class TestConfig:
         # has no field for them, and the grid carries the value instead
         with pytest.raises(TypeError, match=field):
             SolverConfig(**{field: value})
-        with pytest.raises(TypeError, match=field):
+        with pytest.raises(ParameterError, match=field):
             ExperimentConfig.from_dict(dict(phase_cfg().to_dict(), solver={field: value}))
         point = grid_points(phase_cfg(p_grid=(4,), **{grid: (value,)}))[0]
         assert getattr(point, grid[:-len("_grid")]) == value
@@ -335,6 +335,8 @@ def test_coded_aperture_preset_calibrated_rate():
 # when the operators moved to the real-FFT kernel, and all but rip_scaling
 # and phase_transition_iht again when FISTA took Phi z by linearity and
 # ||Phi||^2 came from Lanczos (FROZEN_RECORD_FLAGS held both times).
+# rip_scaling alone was re-recorded when exact delta_s moved from the dense
+# Gram to the lag table (each snorm within 2.1e-16 relative, flags held).
 FROZEN_RECORDS = {
     "phase_transition": (
         dict(kind="phase_transition", n_grid=(4,), m_grid=(8,), p_grid=(2,), s_grid=(1, 2),
@@ -351,8 +353,8 @@ FROZEN_RECORDS = {
     "rip_scaling": (
         dict(kind="rip_scaling", n_grid=(4,), m_grid=(8, 16), p_grid=(2,), s_grid=(2,),
              trials=2, base_seed=12),
-        "d19ba1551496149eea14509258e5456a4252fb06209162545ddee68bd986fe20",
-        "c3485924e7738d1d8c57385392a4892baa1a4328ef9e9700cf5951791d5ee836",
+        "60b8d8e1520a670960cba2bbacd6ad3b5e5b9f93efa66305627a9166a74f607f",
+        "1647d551c2b2013dd03229bcce85e8d10012eda876523e398db81c9886915706",
     ),
     "stability": (
         dict(kind="stability", n_grid=(4,), m_grid=(12,), p_grid=(2,), s_grid=(1,),

@@ -256,7 +256,7 @@ def test_probe_header_types_checked(tmp_path, changes):
 
 @pytest.mark.parametrize("changes", [{"variant": None}, {"variant": "circular"},
                                      {"m": "6"}, {"n": None}, {"p": None},
-                                     {"epsilon": "0.1"}])
+                                     {"epsilon": "0.1"}, {"epsilon": 10**400}])
 def test_measurement_header_types_checked(tmp_path, changes):
     path = tmp_path / "y.csv"
     fileio.write_measurements(path, ProblemDims(3, 6, 2), "folded", np.zeros(6))

@@ -7,6 +7,7 @@ from sparsep.budgets import BudgetError
 from sparsep.errors import DimensionError, ParameterError
 from sparsep.operators import (
     FoldMap,
+    LagGram,
     MeasurementOperator,
     Variant,
     build_dense_folded,
@@ -256,6 +257,26 @@ def test_kernel_matches_dense(case):
 def test_fft_length(dims, variant, fft_len):
     op = MeasurementOperator(generate_probes(ProblemDims(*dims), 1), variant)
     assert op.fft_len == fft_len
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    extra=st.integers(0, 24),
+    p=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+    variant=st.sampled_from(list(Variant)),
+)
+@example(n=1, extra=0, p=1, seed=0, variant=Variant.LINEAR)
+@example(n=1, extra=0, p=1, seed=0, variant=Variant.FOLDED)
+@example(n=16, extra=48, p=4, seed=0, variant=Variant.LINEAR)
+@example(n=16, extra=48, p=4, seed=0, variant=Variant.FOLDED)
+def test_lag_gram_equals_dense_residual(n, extra, p, seed, variant):
+    # the full support reads the whole residual I - A^T A from the lag table
+    op = MeasurementOperator(generate_probes(ProblemDims(n, n + extra, p), seed), variant)
+    dense = (build_dense_folded if variant is Variant.FOLDED else build_dense_linear)(op.probes)
+    residual = LagGram(op).residual_blocks(np.arange(n * p))
+    assert np.max(np.abs(residual - (np.eye(n * p) - dense.T @ dense))) <= 1e-12
 
 
 class TestGramExpansions:

@@ -2,20 +2,19 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsep.errors import BudgetError, DimensionError, ParameterError
-from sparsep.operators import build_dense_folded
-from sparsep.probes import ProblemDims, generate_probes
-from sparsep.snorm import (
-    EXACT,
-    RANDOMIZED,
+from sparsep.operators import (
     LagGram,
-    rip_delta,
-    snorm_exact,
-    snorm_randomized,
+    build_dense_folded,
+    build_dense_linear,
+    folded_operator,
+    linear_operator,
 )
+from sparsep.probes import ProblemDims, generate_probes
+from sparsep.snorm import EXACT, RANDOMIZED, rip_delta, snorm_exact, snorm_randomized
 
 # Golden regression value for rip_delta at (n=4, m=16, p=2, s=2), seed 42.
 GOLDEN_DELTA = 0.47244239460441445
@@ -187,8 +186,7 @@ class TestRipDelta:
         assert rnd.value <= exact + 1e-14
 
     def test_budget_propagates(self, monkeypatch):
-        # 200 admits the dense Gram (64) and folded matrix (128) but not
-        # the C(8, 2) * 2^3 = 224-operation enumeration
+        # 200 is below the C(8, 2) * 2^3 = 224-operation enumeration
         monkeypatch.setenv("SPARSEP_WORK_LIMIT", "200")
         ps = generate_probes(ProblemDims(4, 16, 2), 42)
         with pytest.raises(BudgetError, match="exact s-norm"):
@@ -200,7 +198,7 @@ class TestRipDelta:
         phi = build_dense_folded(ps)
         z = np.eye(d.signal_len) - phi.T @ phi
         sup = np.array([0, 2, 5])
-        block = LagGram(ps).residual_blocks(sup)
+        block = LagGram(folded_operator(ps)).residual_blocks(sup)
         assert np.max(np.abs(block - z[np.ix_(sup, sup)])) < 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -209,22 +207,27 @@ class TestRipDelta:
         extra=st.integers(0, 10),
         p=st.integers(1, 4),
         seed=st.integers(0, 2**32),
+        linear=st.booleans(),
         data=st.data(),
     )
-    def test_lag_blocks_match_dense(self, n, extra, p, seed, data):
+    def test_lag_blocks_match_dense(self, n, extra, p, seed, linear, data):
         ps = generate_probes(ProblemDims(n, n + extra, p), seed)
-        phi = build_dense_folded(ps)
+        operator, build = ((linear_operator, build_dense_linear) if linear
+                           else (folded_operator, build_dense_folded))
+        phi = build(ps)
         z = np.eye(n * p) - phi.T @ phi
         s = data.draw(st.integers(1, n * p))
         sups = np.array([
             data.draw(st.permutations(range(n * p)))[:s] for _ in range(3)
         ])
-        blocks = LagGram(ps).residual_blocks(sups)
+        blocks = LagGram(operator(ps)).residual_blocks(sups)
         assert blocks.shape == (3, s, s)
         for sup, block in zip(sups, blocks):
             assert np.max(np.abs(block - z[np.ix_(sup, sup)])) <= 1e-12
 
     def test_randomized_needs_no_dense_budget(self, monkeypatch):
+        # N^2 - 1 = 1023 is below exact mode's C(32, 2) * 2^3 = 3968-operation
+        # enumeration; randomized mode has no budget
         ps = generate_probes(ProblemDims(8, 32, 4), 5)
         exact = rip_delta(ps, 2).value
         monkeypatch.setenv("SPARSEP_WORK_LIMIT", str(ps.dims.signal_len**2 - 1))
@@ -232,6 +235,31 @@ class TestRipDelta:
             rip_delta(ps, 2)
         rnd = rip_delta(ps, 2, mode=RANDOMIZED, trials=8, seed=3)
         assert 0.0 < rnd.value <= exact + 1e-14
+
+    def test_exact_needs_only_the_enumeration_budget(self, monkeypatch):
+        # C(32, 1) * 1^3 = 32 operations, below the N^2 = 1024 elements of
+        # a dense Gram: every limit in [32, 1024) admits exact mode
+        ps = generate_probes(ProblemDims(8, 32, 4), 5)
+        expected = rip_delta(ps, 1)
+        for limit in (32, 1023):
+            monkeypatch.setenv("SPARSEP_WORK_LIMIT", str(limit))
+            assert rip_delta(ps, 1) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        extra=st.integers(0, 10),
+        p=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+        s=st.integers(1, 3),
+    )
+    @example(n=16, extra=112, p=4, seed=0, s=3)
+    def test_exact_tie_break_is_first_within_block_shift(self, n, extra, p, seed, s):
+        # a common within-block shift of a support leaves its lag-table
+        # block unchanged, so the first support found has an index at shift 0
+        assume(s <= n * p)
+        res = rip_delta(generate_probes(ProblemDims(n, n + extra, p), seed), s)
+        assert min(i % n for i in res.argmax_support) == 0
 
     def test_unknown_mode_rejected(self):
         ps = generate_probes(ProblemDims(4, 16, 2), 42)
