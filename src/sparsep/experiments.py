@@ -44,7 +44,14 @@ from .probes import ProblemDims, generate_probes, is_finite, is_integer
 from .snorm import EXACT, RANDOMIZED, rip_delta
 from .solvers import SolverConfig, solve_bpdn, solve_iht, solve_oracle_ls
 
-KINDS = ("rip_scaling", "phase_transition", "stability", "coded_aperture")
+# Config fields each kind never reads; __post_init__ requires their defaults.
+_UNREAD = {
+    "rip_scaling": ("method", "solver", "success_threshold", "decay", "block_difference"),
+    "phase_transition": ("snorm_mode", "decay", "block_difference"),
+    "stability": ("snorm_mode", "block_difference"),
+    "coded_aperture": ("snorm_mode", "decay"),
+}
+KINDS = tuple(_UNREAD)
 # Names the arithmetic behind every TrialRow float (operator kernel, solver
 # iterations, Lipschitz constant, restricted-norm Gram).  Change it with any
 # change that moves trial bits, so that ``--resume`` never mixes rows of two versions.
@@ -96,6 +103,9 @@ class ExperimentConfig:
         ):
             if not ok:
                 raise ParameterError(f"{name} must be {need}, got {getattr(self, name)!r}")
+        for f in fields(self):
+            if f.name in _UNREAD[self.kind] and getattr(self, f.name) != f.default:
+                raise ParameterError(f"{self.kind} ignores {f.name}; leave it at {f.default!r}")
         s_min = 1 if self.kind == "rip_scaling" else 0
         grids = (self.n_grid, self.m_grid, self.p_grid, self.s_grid)
         for n, m, p, s in itertools.product(*grids):

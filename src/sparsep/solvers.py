@@ -1,16 +1,16 @@
 """Sparse recovery solvers.
 
 * :func:`solve_bpdn` -- l1 minimization subject to ||Phi x - y|| <= eps,
-  solved as a sequence of l1-penalized least-squares problems (FISTA with
-  backtracking and momentum restarts) with root-finding on the penalty so
-  the residual lands on the noise budget.  One continuation loop serves
-  every eps; eps = 0 drives the residual down to feas_tol * ||y|| instead
-  of literal zero.  Each FISTA iteration makes two operator calls, one
-  ``adjoint`` and one ``apply``, plus one ``apply`` per backtrack.
+  solved as a sequence of l1-penalized least-squares problems (FISTA at
+  the fixed step 1/(1.01 ||Phi||^2), with momentum restarts) with
+  root-finding on the penalty so the residual lands on the noise budget.
+  One continuation loop serves every eps; eps = 0 drives the residual down
+  to feas_tol * ||y|| instead of literal zero.  Each FISTA iteration makes
+  two operator calls, one ``adjoint`` and one ``apply``.
 * :func:`solve_iht` -- iterative hard thresholding
   x <- H_s(x + mu * Phi^T (y - Phi x)) with a backtracked step.
-* :func:`operator_norm_sq` -- ||Phi||^2 by Lanczos; it sets the first
-  FISTA step and the IHT step.
+* :func:`operator_norm_sq` -- ||Phi||^2 by Lanczos; it sets the FISTA
+  step and the first IHT step.
 * :func:`solve_oracle_ls` -- least squares restricted to a known support;
   the information-unbeatable baseline.
 * :func:`reference_bpdn` -- slow, algorithmically independent solution of
@@ -130,35 +130,25 @@ def hard_threshold(v, s):
     return out
 
 
-def _fista(op, y, lam, x0, r0, lips, tol, max_iter):
+def _fista(op, y, lam, x0, r0, L, tol, max_iter):
     """l1-penalized least squares min 0.5||Phi x - y||^2 + lam ||x||_1.
 
-    Backtracking FISTA with gradient-based momentum restarts, started at
-    x0 with its residual r0 = Phi x0 - y; max_iter >= 1.  Each iteration
-    makes one ``adjoint`` and one ``apply`` (plus one ``apply`` per
-    backtrack): the extrapolated residual Phi z - y follows by linearity
-    from the two latest exact residuals, as in NESTA/TFOCS.  Returns
-    (x, Phi x - y, iterations, local Lipschitz estimate).
+    FISTA at the fixed step 1/L (L >= ||Phi||^2, so every step descends)
+    with gradient-based momentum restarts, started at x0 with its residual
+    r0 = Phi x0 - y; max_iter >= 1.  Each iteration makes one ``adjoint``
+    and one ``apply``: the extrapolated residual Phi z - y follows by
+    linearity from the two latest exact residuals, as in NESTA/TFOCS.
+    Returns (x, Phi x - y, iterations).
     """
-    x = x0.copy()
-    z = x0.copy()
+    x = z = x0
     rx = rz = r0
     t = 1.0
-    L = max(lips, 1e-300)
     it = 0
     while True:
         it += 1
-        fz = 0.5 * float(rz @ rz)
         grad = op.adjoint(rz)
-        while True:
-            x_new = soft_threshold(z - grad / L, lam / L)
-            d = x_new - z
-            dd = float(d @ d)
-            r_new = op.apply(x_new) - y
-            f_new = 0.5 * float(r_new @ r_new)
-            if f_new <= fz + float(grad @ d) + 0.5 * L * dd + 1e-12 * max(fz, 1.0):
-                break
-            L *= 2.0
+        x_new = soft_threshold(z - grad / L, lam / L)
+        r_new = op.apply(x_new) - y
         if float((z - x_new) @ (x_new - x)) > 0.0:
             t = 1.0  # momentum restart
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
@@ -167,7 +157,7 @@ def _fista(op, y, lam, x0, r0, lips, tol, max_iter):
         step_ok = np.linalg.norm(x_new - x) <= tol * max(1.0, np.linalg.norm(x_new))
         x, t = x_new, t_new
         if step_ok or it >= max_iter:
-            return x, r_new, it, L
+            return x, r_new, it
         # Phi z - y from exact residuals, so rounding does not accumulate;
         # beta = 0 after a restart gives r_new itself
         rz = r_new + beta * (r_new - rx)
@@ -185,7 +175,7 @@ def solve_bpdn(op, y, epsilon, cfg):
     converges to the minimum-l1 interpolator as lam -> 0).  If the bracket
     shrinks to adjacent floats, the search restarts once with 1000x tighter
     inner solves; a second collapse stops unconverged with the note
-    "lambda bracket collapsed".  The inner FISTA solves start at step
+    "lambda bracket collapsed".  The inner FISTA solves take the fixed step
     1/(1.01 ||Phi||^2), with ||Phi||^2 from Lanczos (:func:`operator_norm_sq`),
     and make two operator calls per iteration.
     """
@@ -204,7 +194,7 @@ def solve_bpdn(op, y, epsilon, cfg):
         converged = ynorm <= eps_eff * (1.0 + cfg.feas_tol)
         return _result(np.zeros(n), -y, 0, converged, "bpdn", note="Phi^T y = 0")
 
-    lips = 1.01 * operator_norm_sq(op)
+    L = 1.01 * operator_norm_sq(op)
     root_rtol = 1e-6
 
     x = np.zeros(n)
@@ -220,7 +210,7 @@ def solve_bpdn(op, y, epsilon, cfg):
         budget = cfg.max_iter - iters
         if budget <= 0:
             break
-        x, res, it, lips = _fista(op, y, lam, x, res, lips, tol, budget)
+        x, res, it = _fista(op, y, lam, x, res, L, tol, budget)
         iters += it
         r = float(np.linalg.norm(res))
         if r <= eps_eff if epsilon == 0.0 else abs(r - eps_eff) <= root_rtol * eps_eff:

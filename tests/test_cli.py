@@ -117,6 +117,26 @@ class TestSimulate:
                                       "--out", str(tmp_path / "y.csv")])
         assert result.exit_code == 2
 
+    def test_channel_dims_differ_from_probes_exit_2(self, runner, tmp_path):
+        probes = gen(runner, tmp_path)  # n=4, p=2
+        chan = tmp_path / "h.csv"
+        fileio.write_channels(chan, n=4, p=3, h=np.zeros(12))
+        out = tmp_path / "y.csv"
+        result = runner.invoke(main, ["simulate", "--probes", str(probes), "--channels", str(chan),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "do not match" in result.output
+        assert not out.exists()
+
+    def test_random_sparse_above_signal_length_exit_2(self, runner, tmp_path):
+        probes = gen(runner, tmp_path)  # N = n*p = 8
+        out = tmp_path / "y.csv"
+        result = runner.invoke(main, ["simulate", "--probes", str(probes), "--random-sparse", "99",
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "--random-sparse" in result.output
+        assert not out.exists()
+
 
 class TestRecover:
     def setup_instance(self, runner, tmp_path, s=2, seed=5, noise=0.0):
@@ -206,13 +226,14 @@ class TestRecover:
         assert "epsilon" in result.output
         assert not out_json.exists()
 
-    @pytest.mark.parametrize("support", ["1,x", "1.5", "0", "-1", "2,,0"])
+    @pytest.mark.parametrize("support", ["1,x", "1.5", "0", "-1", "2,,0", None])
     def test_unusable_support_exit_2(self, runner, tmp_path, support):
         probes, y, _ = self.setup_instance(runner, tmp_path)
         out_json = tmp_path / "r.json"
+        support_args = [] if support is None else ["--support", support]
         result = runner.invoke(main, ["recover", "--probes", str(probes),
                                       "--measurements", str(y), "--method", "oracle",
-                                      "--support", support, "--out-json", str(out_json)])
+                                      *support_args, "--out-json", str(out_json)])
         assert result.exit_code == 2, result.output
         assert "--support" in result.output
         assert not out_json.exists()
@@ -429,10 +450,26 @@ class TestExperiment:
         dict(CONFIG, block_difference="yes"),
         dict(CONFIG, unknown_field=1),
         {k: v for k, v in CONFIG.items() if k != "kind"},
+        # a setting that the kind never reads
+        dict(CONFIG, kind="rip_scaling", method="iht"),
+        dict(CONFIG, kind="rip_scaling", solver={"max_iter": 10}),
+        dict(CONFIG, kind="rip_scaling", success_threshold=0.5),
+        dict(CONFIG, kind="rip_scaling", decay=2.0),
+        dict(CONFIG, kind="rip_scaling", block_difference=True),
+        dict(CONFIG, snorm_mode="randomized_lower_bound"),
+        dict(CONFIG, decay=2.0),
+        dict(CONFIG, block_difference=True),
+        dict(CONFIG, kind="coded_aperture", snorm_mode="randomized_lower_bound"),
+        dict(CONFIG, kind="coded_aperture", decay=2.0),
+        dict(CONFIG, kind="stability", snorm_mode="randomized_lower_bound"),
+        dict(CONFIG, kind="stability", block_difference=True),
     ], ids=["string", "list", "number", "null", "string-solver", "string-max-iter",
             "null-tolerance", "string-eps", "null-eps", "bool-eps", "unknown-snorm-mode",
             "string-decay", "string-seed", "string-threshold", "nan-threshold",
-            "string-flag", "unknown-field", "missing-kind"])
+            "string-flag", "unknown-field", "missing-kind",
+            "rip-method", "rip-solver", "rip-threshold", "rip-decay", "rip-flag",
+            "phase-snorm-mode", "phase-decay", "phase-flag", "coded-snorm-mode",
+            "coded-decay", "stability-snorm-mode", "stability-flag"])
     def test_ill_typed_config_exit_2(self, runner, tmp_path, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -451,6 +488,25 @@ class TestExperiment:
         assert result.exit_code == 2, result.output
         assert "rescale y" in result.output
         assert not (out / "trials.csv").exists()
+
+    def test_missing_config_exit_3(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["experiment", "--config", str(tmp_path / "missing.json"),
+                                      "--out-dir", str(out)])
+        assert result.exit_code == 3, result.output
+        assert "missing.json" in result.output
+        assert not out.exists()
+
+    def test_rip_scaling_prints_snorms_and_slope_fit(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "kind": "rip_scaling", "n_grid": [4], "m_grid": [8, 16], "p_grid": [2],
+            "s_grid": [2], "trials": 2, "base_seed": 12,
+        }))
+        result = invoke(runner, "experiment", "--config", cfg, "--out-dir", tmp_path / "out")
+        assert result.exit_code == 0, result.output
+        assert result.output.count("mean_snorm=") == 2
+        assert "slope fit n=4 p=2 s=2: " in result.output
 
     def test_malformed_json_exit_2_with_position(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

@@ -220,6 +220,16 @@ class TestRipScaling:
         means = [pt["mean_snorm"] for pt in record.aggregates["per_point"]]
         assert means[0] <= means[1] <= means[2]
 
+    def test_randomized_mode_bounds_exact_from_below(self):
+        grid = dict(kind="rip_scaling", n_grid=(4,), m_grid=(8, 16), p_grid=(2,),
+                    s_grid=(2,), trials=2, base_seed=12)
+        randomized = run_experiment(ExperimentConfig(**grid, snorm_mode="randomized_lower_bound"))
+        exact = run_experiment(ExperimentConfig(**grid))
+        assert all(t.note == "randomized_lower_bound" for t in randomized.trials)
+        # the same trial seeds draw the same probes in both modes
+        assert all(r.snorm <= e.snorm for r, e in zip(randomized.trials, exact.trials, strict=True))
+        assert len(randomized.aggregates["fits"]) == 1
+
     def test_budget_error_recorded_not_fatal(self):
         cfg = ExperimentConfig(
             kind="rip_scaling", n_grid=(8,), m_grid=(16,), p_grid=(8,),
