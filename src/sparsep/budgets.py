@@ -1,10 +1,12 @@
 """Work budgets for dense constructions and exhaustive enumeration.
 
-Dense matrices and support enumeration are test/diagnostic tools; the
-budgets keep them from sneaking O((np)^2) memory or combinatorial blowups
-into experiment paths.  The environment variable ``SPARSEP_WORK_LIMIT``,
-when set to a positive integer, replaces both budgets at once; it is the
-only way to change them.
+Dense matrices (``operators.build_dense_*``) and support enumeration are
+test/diagnostic tools; the budgets keep them from sneaking O((np)^2) memory
+or combinatorial blowups into experiment paths.  The environment variable
+``SPARSEP_WORK_LIMIT``, when set to a positive integer, replaces both
+budgets at once; it is the only way to change them.  The matrix a small
+``MeasurementOperator`` multiplies by is not charged here: the constant
+``operators.DENSE_KERNEL_ELEMENTS`` caps it.
 """
 
 import os

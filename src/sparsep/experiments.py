@@ -46,7 +46,8 @@ from .solvers import SolverConfig, solve_bpdn, solve_iht, solve_oracle_ls
 
 # Config fields each kind never reads; __post_init__ requires their defaults.
 _UNREAD = {
-    "rip_scaling": ("method", "solver", "success_threshold", "decay", "block_difference"),
+    "rip_scaling": ("epsilon_grid", "method", "solver", "success_threshold", "decay",
+                    "block_difference"),
     "phase_transition": ("snorm_mode", "decay", "block_difference"),
     "stability": ("snorm_mode", "block_difference"),
     "coded_aperture": ("snorm_mode", "decay"),
@@ -55,7 +56,7 @@ KINDS = tuple(_UNREAD)
 # Names the arithmetic behind every TrialRow float (operator kernel, solver
 # iterations, Lipschitz constant, restricted-norm Gram).  Change it with any
 # change that moves trial bits, so that ``--resume`` never mixes rows of two versions.
-NUMERICS = "rfft-kernel/fista-az-by-linearity/lanczos-norm/lag-gram-delta"
+NUMERICS = "rfft-kernel/fista-az-by-linearity/lanczos-norm/lag-gram-delta/dense-below-2**17"
 METHODS = ("bpdn", "iht", "oracle")
 _GRIDS = ("n_grid", "m_grid", "p_grid", "s_grid", "epsilon_grid")
 
@@ -391,21 +392,19 @@ def _aggregate(points, rows):
 def _slope_fits(points, aggregates):
     """Least-squares slope of log(mean snorm) against log(m) per (n,p,s).
 
-    Points sharing an m (one per epsilon) are averaged first; a fit needs
-    at least two distinct m.
+    A fit needs points at two distinct m.
     """
     fits = []
     combos = sorted({(pt.n, pt.p, pt.s) for pt in points})
     for n, p, s in combos:
-        by_m = {}
+        xs, ys = [], []
         for summary in aggregates["per_point"]:
             if (summary["n"], summary["p"], summary["s"]) == (n, p, s):
                 mean = summary.get("mean_snorm")
                 if mean is not None and mean > 0:
-                    by_m.setdefault(summary["m"], []).append(mean)
-        if len(by_m) >= 2:
-            xs = [np.log(m) for m in by_m]
-            ys = [np.log(np.mean(means)) for means in by_m.values()]
+                    xs.append(np.log(summary["m"]))
+                    ys.append(np.log(mean))
+        if len(set(xs)) >= 2:
             slope, intercept = np.polyfit(xs, ys, 1)
             fits.append(
                 {"n": n, "p": p, "s": s, "slope": float(slope), "intercept": float(intercept)}

@@ -8,14 +8,34 @@ Two variants act on the concatenated channel vector x of length n*p
   the last n-1, leaving m entries.  Each folded block is the first n
   columns of an m x m circulant.
 
-Both variants run one real-FFT kernel: circular convolution at length L
-against (p, L//2 + 1) half spectra.  Folded: L = m and the first m//2 + 1
-entries of ``probes.g``.  Linear: L = next_fast_len(m + n - 1), where
-circular and linear convolution agree, keeping the first m + n - 1
-outputs.  irfft output is real by construction; all public vectors are
-real float64.
+Each operator runs one of two kernels, chosen by the size of its matrix:
 
-Dense constructions are for tests and tiny instances and are gated by the
+* dense -- when output_len * input_len <= DENSE_KERNEL_ELEMENTS the
+  operator holds its exact matrix, and apply/adjoint are one matrix-vector
+  product each.  The constant bounds the matrix (1 MiB), so it is not
+  charged to the dense budget of :mod:`sparsep.budgets`.
+* real FFT -- above it, circular convolution at length L against
+  (p, L//2 + 1) half spectra.  Folded: L = m and the first m//2 + 1
+  entries of ``probes.g``.  Linear: L = next_fast_len(m + n - 1), where
+  circular and linear convolution agree, keeping the first m + n - 1
+  outputs.  irfft output is real by construction.
+
+The constant is the largest power of two below the measured crossover.
+One apply plus one adjoint, in microseconds, best of 7 on a 2-vCPU VM
+(numpy FFT, OpenBLAS on one thread):
+
+    variant  elements  (n, m, p)        FFT   dense
+    folded        768  (8, 24, 4)      31.6     2.5
+    folded      32768  (32, 128, 8)    44.5    11.2
+    folded     131072  (64, 256, 8)    48.2    38.3
+    linear     163328  (64, 256, 8)    48.9    31.1
+    folded     196608  (64, 384, 8)    64.4    66.9
+    linear     228864  (64, 384, 8)    64.9    76.6
+    folded     262144  (64, 256, 16)   58.2   108.7
+    folded    4194304  (256, 1024, 16)  179    2979
+
+All public vectors are real float64.  The public dense constructions
+(``build_dense_*``) are for tests and diagnostics and are gated by the
 dense element budget.
 """
 
@@ -27,6 +47,9 @@ from scipy.fft import next_fast_len
 from . import budgets
 from .errors import DimensionError, ParameterError
 from .probes import ProbeSet
+
+# Largest output_len * input_len served by the dense kernel (see the table above).
+DENSE_KERNEL_ELEMENTS = 2**17
 
 
 class Variant(enum.Enum):
@@ -86,10 +109,12 @@ class FoldMap:
 
 
 class MeasurementOperator:
-    """Matrix-free handle for one variant, bound to a probe set.
+    """Operator handle for one variant, bound to a probe set.
 
-    The variant sets only ``fft_len`` and the half spectra.  apply/adjoint
-    are reentrant and allocate per call; the operator is immutable.
+    The variant sets ``fft_len``, the half spectra and, for operators of
+    at most DENSE_KERNEL_ELEMENTS entries, the matrix that apply/adjoint
+    multiply by.  apply/adjoint are reentrant and allocate per call; the
+    operator is immutable.
     """
 
     def __init__(self, probes, variant):
@@ -103,21 +128,26 @@ class MeasurementOperator:
         if variant is Variant.FOLDED:
             self.output_len = self.fft_len = self.dims.m
             self._g_half = probes.g[:, : self.dims.m // 2 + 1]
+            matrix = _folded_matrix
         else:
             self.output_len = self.dims.linear_len
             self.fft_len = next_fast_len(self.output_len, real=True)
             self._g_half = np.fft.rfft(probes.phi, n=self.fft_len, axis=1)
+            matrix = _linear_matrix
+        self._matrix = None
+        if self.output_len * self.input_len <= DENSE_KERNEL_ELEMENTS:
+            self._matrix = matrix(probes)
 
     def apply(self, x):
-        """y = Phi x via one batched rfft over the p blocks."""
+        """y = Phi x: one matrix-vector product, or one batched rfft over the p blocks."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.input_len,):
             raise DimensionError(
                 f"expected input length {self.input_len}, got {x.shape}"
             )
-        spec = np.fft.rfft(x.reshape(self.dims.p, self.dims.n), n=self.fft_len, axis=1)
-        y = np.fft.irfft(np.sum(self._g_half * spec, axis=0), n=self.fft_len)
-        return y[: self.output_len]
+        if self._matrix is None:
+            return _fft_apply(self, x)
+        return self._matrix @ x
 
     def adjoint(self, y):
         """x = Phi^T y; exact adjoint of :meth:`apply`."""
@@ -126,15 +156,29 @@ class MeasurementOperator:
             raise DimensionError(
                 f"expected output length {self.output_len}, got {y.shape}"
             )
-        z = np.fft.rfft(y, n=self.fft_len)
-        blocks = np.fft.irfft(np.conj(self._g_half) * z[None, :], n=self.fft_len, axis=1)
-        return blocks[:, : self.dims.n].reshape(-1)
+        if self._matrix is None:
+            return _fft_adjoint(self, y)
+        return self._matrix.T @ y
 
     def gram_apply(self, x):
         """Phi^T Phi x (folded only)."""
         if self.variant is not Variant.FOLDED:
             raise ParameterError("gram_apply is defined for the folded variant")
         return self.adjoint(self.apply(x))
+
+
+def _fft_apply(op, x):
+    """The real-FFT kernel of ``op.apply`` for a checked float64 ``x``."""
+    spec = np.fft.rfft(x.reshape(op.dims.p, op.dims.n), n=op.fft_len, axis=1)
+    y = np.fft.irfft(np.sum(op._g_half * spec, axis=0), n=op.fft_len)
+    return y[: op.output_len]
+
+
+def _fft_adjoint(op, y):
+    """The real-FFT kernel of ``op.adjoint`` for a checked float64 ``y``."""
+    z = np.fft.rfft(y, n=op.fft_len)
+    blocks = np.fft.irfft(np.conj(op._g_half) * z[None, :], n=op.fft_len, axis=1)
+    return blocks[:, : op.dims.n].reshape(-1)
 
 
 class LagGram:
@@ -170,9 +214,26 @@ def folded_operator(probes):
 
 
 def build_dense_linear(probes):
-    """Explicit (m+n-1) x (n*p) block-Toeplitz matrix; tests only."""
+    """Explicit (m+n-1) x (n*p) block-Toeplitz matrix, within the dense budget."""
     d = probes.dims
     budgets.check_dense(d.linear_len * d.signal_len, "dense linear operator")
+    return _linear_matrix(probes)
+
+
+def build_dense_folded(probes):
+    """Explicit m x (n*p) concatenation of first-n-column circulant blocks.
+
+    Entry (t, j) of block k is phi_k[(n-1+t-j) mod m]; this agrees with
+    FoldMap applied to the dense linear matrix entry for entry.  Gated by
+    the dense budget.
+    """
+    d = probes.dims
+    budgets.check_dense(d.m * d.signal_len, "dense folded operator")
+    return _folded_matrix(probes)
+
+
+def _linear_matrix(probes):
+    d = probes.dims
     out = np.zeros((d.linear_len, d.signal_len))
     for k in range(d.p):
         for j in range(d.n):
@@ -180,14 +241,8 @@ def build_dense_linear(probes):
     return out
 
 
-def build_dense_folded(probes):
-    """Explicit m x (n*p) concatenation of first-n-column circulant blocks.
-
-    Entry (t, j) of block k is phi_k[(n-1+t-j) mod m]; this agrees with
-    FoldMap applied to the dense linear matrix entry for entry.
-    """
+def _folded_matrix(probes):
     d = probes.dims
-    budgets.check_dense(d.m * d.signal_len, "dense folded operator")
     t = np.arange(d.m)[:, None]
     j = np.arange(d.n)[None, :]
     idx = (d.n - 1 + t - j) % d.m

@@ -22,6 +22,7 @@ and a finite y that is zero or has ||y||^2 a normal float64 (DataError
 "rescale y" otherwise: the norms the stops read would under/overflow).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,12 +150,14 @@ def _fista(op, y, lam, x0, r0, L, tol, max_iter):
         grad = op.adjoint(rz)
         x_new = soft_threshold(z - grad / L, lam / L)
         r_new = op.apply(x_new) - y
-        if float((z - x_new) @ (x_new - x)) > 0.0:
+        dx = x_new - x
+        if float((z - x_new) @ dx) > 0.0:
             t = 1.0  # momentum restart
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
-        z = x_new + beta * (x_new - x)
-        step_ok = np.linalg.norm(x_new - x) <= tol * max(1.0, np.linalg.norm(x_new))
+        z = x_new + beta * dx
+        # sqrt(v @ v) is what np.linalg.norm computes for 1-D float64, at less call overhead
+        step_ok = math.sqrt(dx @ dx) <= tol * max(1.0, math.sqrt(x_new @ x_new))
         x, t = x_new, t_new
         if step_ok or it >= max_iter:
             return x, r_new, it

@@ -260,13 +260,15 @@ class TestRecover:
 
     # sha256 of the recovery JSON and of the estimate CSV, re-recorded when
     # FISTA took Phi z by linearity and ||Phi||^2 came from Lanczos (x_hat
-    # moved by at most 2.5e-16 relative, iterations and flags held); any bit
-    # that moves shows here.
+    # moved by at most 2.5e-16 relative, iterations and flags held), and when
+    # these (16, 64, 4) operators took the dense kernel (x_hat moved by at
+    # most 1.5e-16 of max|x_hat|, iterations and flags held); any bit that
+    # moves shows here.
     @pytest.mark.parametrize("variant, noise, json_sha, csv_sha", [
-        ("folded", 0.0, "517aeb23a45fadd8f1dc4e8f0546409ff255faea96a9bf092afd370933d386e0",
-         "4ec87c774a6c48871dfd3f8f08ace2572482c1b2216efa1129c9dee419b5bdbe"),
-        ("linear", 0.05, "48ed6164fdf10af1fc69fa2458e5075b84a97a099011a49a2f8cdda348f8e45c",
-         "b1d2c95be37af028e7c8bff41da69a44f16c8e14239f29703d562252129e32f7"),
+        ("folded", 0.0, "ec7b7fea82943bcca4972cf920006b370ee5ac6bea2b5c26fc39adf04a1cda4e",
+         "85e935941a6d2a856b642ede082c5e623acc560510b90bf508a33461fee1717d"),
+        ("linear", 0.05, "7222969c670bf020e237e68b7e3f5a807aa4d2145a2cdad93997371e41da8662",
+         "2236857efcf934b6e24c961681f807b5740dd7e504157f0bfc927110edf3c46d"),
     ], ids=["folded-0.0", "linear-0.05"])
     def test_frozen_output(self, runner, tmp_path, variant, noise, json_sha, csv_sha):
         probes = gen(runner, tmp_path, n=16, m=64, p=4, seed=21)
@@ -456,6 +458,7 @@ class TestExperiment:
         dict(CONFIG, kind="rip_scaling", success_threshold=0.5),
         dict(CONFIG, kind="rip_scaling", decay=2.0),
         dict(CONFIG, kind="rip_scaling", block_difference=True),
+        dict(CONFIG, kind="rip_scaling", epsilon_grid=[0.0, 0.05]),
         dict(CONFIG, snorm_mode="randomized_lower_bound"),
         dict(CONFIG, decay=2.0),
         dict(CONFIG, block_difference=True),
@@ -467,7 +470,7 @@ class TestExperiment:
             "null-tolerance", "string-eps", "null-eps", "bool-eps", "unknown-snorm-mode",
             "string-decay", "string-seed", "string-threshold", "nan-threshold",
             "string-flag", "unknown-field", "missing-kind",
-            "rip-method", "rip-solver", "rip-threshold", "rip-decay", "rip-flag",
+            "rip-method", "rip-solver", "rip-threshold", "rip-decay", "rip-flag", "rip-eps",
             "phase-snorm-mode", "phase-decay", "phase-flag", "coded-snorm-mode",
             "coded-decay", "stability-snorm-mode", "stability-flag"])
     def test_ill_typed_config_exit_2(self, runner, tmp_path, config):

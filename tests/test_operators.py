@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 from sparsep.budgets import BudgetError
 from sparsep.errors import DimensionError, ParameterError
 from sparsep.operators import (
+    DENSE_KERNEL_ELEMENTS,
     FoldMap,
     LagGram,
     MeasurementOperator,
     Variant,
+    _fft_adjoint,
+    _fft_apply,
     build_dense_folded,
     build_dense_linear,
     folded_operator,
@@ -230,20 +233,39 @@ def _operator_and_inputs(draw):
 # x and y meet only a structural zero of A, where the irfft leaves 3.7e-17
 @example(case=_case(2, 2, 1, "linear", [0, 1], [1, 0, 0], probe_seed=0))
 def test_kernel_matches_dense(case):
-    # one real-FFT kernel serves both variants: apply and adjoint equal the
-    # dense matrices, and adjoint is the exact transpose of apply
+    # both kernels serve both variants: apply and adjoint equal the dense
+    # matrices, and adjoint is the exact transpose of apply.  These sizes
+    # take the dense kernel through the public methods, so the real-FFT
+    # kernel is also called directly.
     op, x, y = case
     build = build_dense_folded if op.variant is Variant.FOLDED else build_dense_linear
     dense = build(op.probes)
-    ax, aty = op.apply(x), op.adjoint(y)
-    assert ax.shape == (op.output_len,) and aty.shape == (op.input_len,)
-    # error is relative to |A||x|, which unlike a norm does not underflow
-    assert np.max(np.abs(ax - dense @ x)) <= 1e-12 * np.max(np.abs(dense) @ np.abs(x)) + _TINY
-    assert np.max(np.abs(aty - dense.T @ y)) <= 1e-12 * np.max(np.abs(dense.T) @ np.abs(y)) + _TINY
-    # FFT rounding reaches every entry, structural zeros of A included, so
-    # the scale bounds all of A rather than |y|^T |A| |x|
-    scale = np.max(np.abs(dense)) * np.sum(np.abs(x)) * np.sum(np.abs(y))
-    assert abs(ax @ y - x @ aty) <= 1e-12 * scale + _TINY
+    for ax, aty in [(op.apply(x), op.adjoint(y)), (_fft_apply(op, x), _fft_adjoint(op, y))]:
+        assert ax.shape == (op.output_len,) and aty.shape == (op.input_len,)
+        # error is relative to |A||x|, which unlike a norm does not underflow
+        assert np.max(np.abs(ax - dense @ x)) <= 1e-12 * np.max(np.abs(dense) @ np.abs(x)) + _TINY
+        assert (np.max(np.abs(aty - dense.T @ y))
+                <= 1e-12 * np.max(np.abs(dense.T) @ np.abs(y)) + _TINY)
+        # FFT rounding reaches every entry, structural zeros of A included, so
+        # the scale bounds all of A rather than |y|^T |A| |x|
+        scale = np.max(np.abs(dense)) * np.sum(np.abs(x)) * np.sum(np.abs(y))
+        assert abs(ax @ y - x @ aty) <= 1e-12 * scale + _TINY
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_dense_kernel_below_the_constant(variant, monkeypatch):
+    # n*p = 512 columns; rows = DENSE_KERNEL_ELEMENTS/512 puts the matrix at
+    # the constant, one more row above it.  The dense budget plays no part.
+    monkeypatch.setenv("SPARSEP_WORK_LIMIT", "1")
+    n, p = 64, 8
+    rows = DENSE_KERNEL_ELEMENTS // (n * p)
+    m_at = rows if variant is Variant.FOLDED else rows - n + 1
+    for m, dense in [(m_at - 1, True), (m_at, True), (m_at + 1, False)]:
+        op = MeasurementOperator(generate_probes(ProblemDims(n, m, p), 0), variant)
+        assert (op._matrix is not None) is dense
+        assert (op.output_len * op.input_len <= DENSE_KERNEL_ELEMENTS) is dense
+    op = MeasurementOperator(generate_probes(ProblemDims(256, 1024, 16), 0), variant)
+    assert op._matrix is None
 
 
 @pytest.mark.parametrize("dims, variant, fft_len", [

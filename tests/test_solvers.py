@@ -514,16 +514,18 @@ def test_y_inside_normal_range_accepted(scale):
 # (residual_norm, l1_norm, iterations, converged, note).  The bpdn and iht
 # digests were re-recorded when FISTA took Phi z by linearity and ||Phi||^2
 # came from Lanczos (x_hat moved by at most 7.5e-13 relative in l2;
-# FROZEN_API_FLAGS held); the oracle digests date from the real-FFT kernel.
+# FROZEN_API_FLAGS held), and all eight when operators below
+# DENSE_KERNEL_ELEMENTS took the dense kernel (x_hat moved by at most
+# 8.2e-16 relative in l2; FROZEN_API_FLAGS held).
 FROZEN_API_DIGESTS = {
-    ("bpdn-folded", (8, 24, 4)): "44faae2bbd388c427885e237877ca215d76201b7fa6bb371698cb6beba1f0bcb",
-    ("bpdn-folded", (32, 128, 8)): "603fd11f7075d9c67901b1158d41333bf3162b3c5ef9cc97cc6840a1ae9c54e2",
-    ("bpdn-linear", (8, 24, 4)): "3d66d910b97a048138c79ff9a457b2165dfd8affc6be8260043a19ef2b659d8d",
-    ("bpdn-linear", (32, 128, 8)): "b5392e4a198b19202e0b1ec546a6bf55b4bd1fee1148941cdc609f9c92be047c",
-    ("iht", (8, 24, 4)): "5731aed9fcb48afad5fe2cce77cc92e7fdea4851f9e30547c5ad253d409add91",
-    ("iht", (32, 128, 8)): "9161f7d2aa89b6189073694f22fb2ba1479cd05ec9fec3b2c3b43181546a80fc",
-    ("oracle", (8, 24, 4)): "0e1b8fb2263c8627573aa6267b6c67d0a6d69f3f51a67755b65a734906d66abf",
-    ("oracle", (32, 128, 8)): "9af5d8a22fbaaf7f59a3dc9c8631f979457dd1b9ab42c9f445c9445221bb63e2",
+    ("bpdn-folded", (8, 24, 4)): "7f1c20ed749d810c532d6e2e18755b6bb8cf603a023b52818606cdd265428adf",
+    ("bpdn-folded", (32, 128, 8)): "b528eeb09ad2c309f46f3965a833e5a0710075eb39fc396c7ad2d961c66d0a8f",
+    ("bpdn-linear", (8, 24, 4)): "934a405ad3fc6d02479def0c5c85f9e3c16638c09c7114a5a8f607ed92447c0a",
+    ("bpdn-linear", (32, 128, 8)): "933775eb1c519e5c04978e689b694ee303a452a1a7a7a394301d6e1d656d8fd6",
+    ("iht", (8, 24, 4)): "084ee4d75f5c557088bfb0f7af88302bc3c0a29f3508955337488f33a9fb929f",
+    ("iht", (32, 128, 8)): "c182051505c08790b186aa9d528461e6161c334e42a1d076471f821fff05b71f",
+    ("oracle", (8, 24, 4)): "86653ad3d8b07905f26811ee18aa6fcf9b4cd90768f41dd10f3218eb1d89dbda",
+    ("oracle", (32, 128, 8)): "dacba9e3fdd4bc8d95cc594c470ba1d85414d7a7c6115b464f3e12cf0cabed6c",
 }
 
 
