@@ -1,22 +1,25 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage/validation error, 3 I/O error,
-4 solver did not converge.  All randomness comes from explicit seed
-flags or config fields; nothing is seeded from the clock.
+4 solver did not converge.  Every subcommand is a SparsepCommand, whose
+``invoke`` is the one place errors become exit codes: SparsepError exits
+2 and OSError exits 3.  All randomness comes from explicit seed flags or
+config fields; nothing is seeded from the clock.
 """
 
 import collections
 import datetime
-import json
+import pathlib
 import sys
+from dataclasses import asdict
 
 import click
 import numpy as np
 
 from . import __version__, fileio, rng
-from .errors import SparsepError
-from .experiments import NUMERICS, ExperimentConfig, grid_points, run_experiment
-from .operators import folded_operator, linear_operator
+from .errors import ParameterError, SparsepError
+from .experiments import NUMERICS, grid_points, run_experiment
+from .operators import MeasurementOperator
 from .probes import ProblemDims, generate_probes
 from .solvers import SolverConfig, solve_bpdn, solve_iht, solve_oracle_ls
 
@@ -25,15 +28,16 @@ class IOFailure(click.ClickException):
     exit_code = 3
 
 
-def _guard_io(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except OSError as exc:
-        raise IOFailure(str(exc)) from exc
+class SparsepCommand(click.Command):
+    """A subcommand whose errors leave it with the documented exit codes."""
 
-
-def _usage(message):
-    raise click.UsageError(message)
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SparsepError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+        except OSError as exc:
+            raise IOFailure(str(exc)) from exc
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -45,6 +49,9 @@ def main():
     """
 
 
+main.command_class = SparsepCommand
+
+
 @main.command("gen-probes")
 @click.option("--n", type=int, required=True, help="Channel length.")
 @click.option("--m", type=int, required=True, help="Probe length (m >= n).")
@@ -53,25 +60,13 @@ def main():
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def gen_probes(n, m, p, seed, out):
     """Generate a probe ensemble and write it to OUT."""
-    try:
-        dims = ProblemDims(n=n, m=m, p=p)
-    except SparsepError as exc:
-        _usage(str(exc))
-    probes = generate_probes(dims, seed)
-    _guard_io(fileio.write_probes, out, probes)
+    probes = generate_probes(ProblemDims(n=n, m=m, p=p), seed)
+    fileio.write_probes(out, probes)
     energy = np.sum(probes.phi**2, axis=1)
     click.echo(
         f"probes: n={n} m={m} p={p} seed={seed} -> {out}; "
         f"mean energy {np.mean(energy):.6f} (min {energy.min():.6f}, max {energy.max():.6f})"
     )
-
-
-def _read(reader, path):
-    """``reader(path)`` with I/O errors as exit 3 and bad content as exit 2."""
-    try:
-        return _guard_io(reader, path)
-    except SparsepError as exc:
-        _usage(str(exc))
 
 
 @main.command("simulate")
@@ -93,43 +88,40 @@ def _read(reader, path):
 def simulate(probes_path, channels_path, sparsity, channel_seed, noise_eps,
              noise_seed, out, folded_out, save_channels):
     """Form y = Phi_lin h (+ optional exact-norm noise) from a probe file."""
-    probes = _read(fileio.read_probes, probes_path)
+    probes = fileio.read_probes(probes_path)
     dims = probes.dims
     if (channels_path is None) == (sparsity is None):
-        _usage("provide exactly one of --channels or --random-sparse")
+        raise ParameterError("provide exactly one of --channels or --random-sparse")
     if channels_path is not None:
-        header, h = _read(fileio.read_channels, channels_path)
+        header, h = fileio.read_channels(channels_path)
         if (header["n"], header["p"]) != (dims.n, dims.p):
-            _usage(
+            raise ParameterError(
                 f"channel dims (n={header['n']}, p={header['p']}) do not match "
                 f"probes (n={dims.n}, p={dims.p})"
             )
     else:
         if sparsity < 0 or sparsity > dims.signal_len:
-            _usage(f"--random-sparse must be in [0, {dims.signal_len}]")
+            raise ParameterError(f"--random-sparse must be in [0, {dims.signal_len}]")
         h = rng.sparse_channel(
             rng.derive_seed(channel_seed, 1), rng.derive_seed(channel_seed, 2),
             dims.signal_len, sparsity,
         )
     if not 0.0 <= noise_eps < np.inf:
-        _usage(f"--noise-eps must be finite and >= 0, got {noise_eps}")
+        raise ParameterError(f"--noise-eps must be finite and >= 0, got {noise_eps}")
 
-    op_lin = linear_operator(probes)
-    y = op_lin.apply(h)
-    if noise_eps > 0:
-        y = y + rng.noise_with_norm(noise_seed, y.size, noise_eps)
-    _guard_io(fileio.write_measurements, out, dims, "linear", y, epsilon=noise_eps)
-    if folded_out:
-        op_fold = folded_operator(probes)
-        y_fold = op_fold.apply(h)
+    for path, variant, seed in ((out, "linear", noise_seed),
+                                (folded_out, "folded", rng.derive_seed(noise_seed, 1))):
+        if not path:
+            continue
+        y = MeasurementOperator(probes, variant).apply(h)
         if noise_eps > 0:
-            y_fold = y_fold + rng.noise_with_norm(
-                rng.derive_seed(noise_seed, 1), y_fold.size, noise_eps
-            )
-        _guard_io(fileio.write_measurements, folded_out, dims, "folded", y_fold, epsilon=noise_eps)
+            y = y + rng.noise_with_norm(seed, y.size, noise_eps)
+        fileio.write_measurements(path, dims, variant, y, epsilon=noise_eps)
+        if variant == "linear":
+            y_norm = np.linalg.norm(y)
     if save_channels:
-        _guard_io(fileio.write_channels, save_channels, dims.n, dims.p, h)
-    click.echo(f"measurements: {out} (||y||={np.linalg.norm(y):.6g}, noise eps={noise_eps})")
+        fileio.write_channels(save_channels, dims.n, dims.p, h)
+    click.echo(f"measurements: {out} (||y||={y_norm:.6g}, noise eps={noise_eps})")
 
 
 @main.command("recover")
@@ -148,36 +140,33 @@ def simulate(probes_path, channels_path, sparsity, channel_seed, noise_eps,
 def recover(probes_path, meas_path, method, epsilon, s_target, support,
             max_iter, out_json, out_csv):
     """Recover the channel vector from a measurement file."""
-    probes = _read(fileio.read_probes, probes_path)
-    header, y = _read(fileio.read_measurements, meas_path)
+    probes = fileio.read_probes(probes_path)
+    header, y = fileio.read_measurements(meas_path)
     dims = probes.dims
     if (header["n"], header["m"], header["p"]) != (dims.n, dims.m, dims.p):
-        _usage("measurement dims do not match probe dims")
-    op = folded_operator(probes) if header["variant"] == "folded" else linear_operator(probes)
+        raise ParameterError("measurement dims do not match probe dims")
+    op = MeasurementOperator(probes, header["variant"])
     if epsilon is None:
         epsilon = float(header.get("epsilon", 0.0))
     if not 0.0 <= epsilon < np.inf:
-        _usage(f"epsilon must be finite and >= 0, got {epsilon}")
-    try:
-        cfg = SolverConfig(max_iter=max_iter)
-        if method == "bpdn":
-            result = solve_bpdn(op, y, epsilon, cfg)
-        elif method == "iht":
-            result = solve_iht(op, y, s_target, cfg)
-        else:
-            if support is None:
-                _usage("--method oracle requires --support")
-            # flag is 1-based per the format convention; arrays are 0-based
-            tokens = [tok.strip() for tok in support.split(",") if tok.strip() != ""]
-            if not all(tok.isdecimal() and int(tok) >= 1 for tok in tokens):
-                _usage(f"--support must be comma-separated 1-based indices, got {support!r}")
-            indices = [int(tok) - 1 for tok in tokens]
-            result = solve_oracle_ls(op, y, indices)
-    except SparsepError as exc:
-        _usage(str(exc))
-    meta = {"n": dims.n, "m": dims.m, "p": dims.p, "variant": header["variant"],
-            "epsilon": epsilon}
-    _guard_io(fileio.write_recovery, out_json, out_csv, result, meta)
+        raise ParameterError(f"epsilon must be finite and >= 0, got {epsilon}")
+    cfg = SolverConfig(max_iter=max_iter)
+    if method == "bpdn":
+        result = solve_bpdn(op, y, epsilon, cfg)
+    elif method == "iht":
+        result = solve_iht(op, y, s_target, cfg)
+    else:
+        if support is None:
+            raise ParameterError("--method oracle requires --support")
+        # flag is 1-based per the format convention; arrays are 0-based
+        tokens = [tok.strip() for tok in support.split(",") if tok.strip() != ""]
+        if not all(tok.isdecimal() and int(tok) >= 1 for tok in tokens):
+            raise ParameterError(
+                f"--support must be comma-separated 1-based indices, got {support!r}")
+        indices = [int(tok) - 1 for tok in tokens]
+        result = solve_oracle_ls(op, y, indices)
+    meta = {**asdict(dims), "variant": header["variant"], "epsilon": epsilon}
+    fileio.write_recovery(out_json, out_csv, result, meta)
     click.echo(
         f"{method}: residual={result.residual_norm:.6g} l1={result.l1_norm:.6g} "
         f"iterations={result.iterations} converged={result.converged}"
@@ -198,52 +187,37 @@ def _utc_now():
               help="Skip grid points already complete in OUT_DIR's trials.csv.")
 def experiment(config_path, out_dir, threads, resume):
     """Run a Monte Carlo harness from a JSON config."""
-    import pathlib
-
-    try:
-        with open(config_path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise IOFailure(str(exc)) from exc
-    except json.JSONDecodeError as exc:
-        _usage(f"malformed config JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
-    try:
-        cfg = ExperimentConfig.from_dict(raw)
-    except SparsepError as exc:
-        _usage(f"invalid config: {exc}")
+    cfg = fileio.read_config(config_path)
     cfg_hash = fileio.config_hash(cfg)
 
     out = pathlib.Path(out_dir)
-    _guard_io(out.mkdir, parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.json"
     trials_path = out / "trials.csv"
     record_path = out / "record.json"
 
     reuse = ()
     if resume and manifest_path.exists() and trials_path.exists():
-        manifest = _read(fileio.read_manifest, manifest_path)
+        manifest = fileio.read_manifest(manifest_path)
         if manifest.get("config_hash") != cfg_hash:
-            _usage("--resume: existing manifest was produced by a different config")
+            raise ParameterError("--resume: existing manifest was produced by a different config")
         if manifest.get("numerics") != NUMERICS:
-            _usage(f"--resume: existing trials were computed with numerics "
-                   f"{manifest.get('numerics')!r}, not {NUMERICS!r}; run without --resume")
-        previous = _read(fileio.read_trials_csv, trials_path)
+            raise ParameterError(
+                f"--resume: existing trials were computed with numerics "
+                f"{manifest.get('numerics')!r}, not {NUMERICS!r}; run without --resume")
+        previous = fileio.read_trials_csv(trials_path)
         counts = collections.Counter(row.grid_index for row in previous)
         complete = {gi for gi, c in counts.items() if c >= cfg.trials}
         reuse = [r for r in previous if r.grid_index in complete]
         click.echo(f"resume: reusing {len(complete)} complete grid points")
 
     started = _utc_now()
-    try:
-        record = run_experiment(cfg, threads=threads, reuse=reuse)
-    except SparsepError as exc:  # e.g. an epsilon so large that ||y||^2 overflows
-        _usage(f"config cannot be run: {exc}")
+    record = run_experiment(cfg, threads=threads, reuse=reuse)
     finished = _utc_now()
 
-    _guard_io(fileio.write_trials_csv, trials_path, record.trials)
-    _guard_io(fileio.write_record_json, record_path, record)
-    _guard_io(
-        fileio.write_manifest,
+    fileio.write_trials_csv(trials_path, record.trials)
+    fileio.write_record_json(record_path, record)
+    fileio.write_manifest(
         manifest_path,
         tool_version=__version__,
         cfg_hash=cfg_hash,

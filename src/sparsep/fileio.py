@@ -3,7 +3,8 @@
 All numeric files are text: a single-line JSON header carrying
 ``format_version`` followed by one float per line, printed with 17
 significant digits so that write-then-read round-trips every value
-exactly.  Metadata (configs, results, manifests) is plain JSON.
+exactly.  Metadata (configs, results, manifests) is plain JSON.  Every
+file is UTF-8 text; readers raise FormatError on bytes that are not.
 
 Formats (all carry ``format_version``; readers reject other major
 versions, and raise FormatError on unparsable samples or on missing or
@@ -25,19 +26,22 @@ ill-typed header keys):
   FormatError on a row of the wrong length, an unparsable cell, a
   truncated last row or a manifest that is not a JSON object; the writer
   raises DataError on a cell holding a carriage return.
+* experiment config -- a JSON object of ExperimentConfig fields; errors
+  in its values carry the prefix ``invalid config:``.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
-from .errors import DataError, DimensionError, FormatError
+from .errors import DataError, DimensionError, FormatError, SparsepError
 from .experiments import ExperimentConfig, TrialRow
-from .probes import ProblemDims, ProbeSet, is_finite
+from .probes import ProblemDims, ProbeSet, is_finite, is_integer
 
 FORMAT_VERSION = 1
 
@@ -47,15 +51,48 @@ def fmt_float(x):
     return format(float(x), ".17g")
 
 
-def _check_version(header, path):
-    version = header.get("format_version")
+@contextlib.contextmanager
+def _open_text(path, newline=None):
+    """``path`` as UTF-8 text, the one decoding step of every reader: bytes
+    that are not UTF-8 raise FormatError naming the file."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+
+
+def _parse_json(text, path, what):
+    try:
+        return json.loads(text)
+    # ValueError covers JSONDecodeError and integers too long to convert;
+    # RecursionError, arrays or objects nested too deep
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: bad {what}: {exc}") from exc
+
+
+def _read_json(path):
+    with _open_text(path) as fh:
+        return _parse_json(fh.read(), path, "JSON")
+
+
+def _check_versioned(payload, path, what):
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: {what} must be a JSON object")
+    version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format_version {version!r}")
 
 
+def _write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"format_version": FORMAT_VERSION, **payload}, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_vector_file(path, header, values):
     header = {"format_version": FORMAT_VERSION, **header}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True))
         fh.write("\n")
         for x in np.asarray(values, dtype=np.float64).reshape(-1):
@@ -63,57 +100,60 @@ def write_vector_file(path, header, values):
             fh.write("\n")
 
 
-def _header_int(header, key, path):
-    value = header.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise FormatError(f"{path}: header {key!r} must be an integer, got {value!r}")
-    return value
-
-
 def read_vector_file(path):
-    with open(path) as fh:
-        first = fh.readline()
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: bad header: {exc}") from exc
-        if not isinstance(header, dict):
-            raise FormatError(f"{path}: header must be a JSON object")
-        _check_version(header, path)
+    with _open_text(path) as fh:
+        header = _parse_json(fh.readline(), path, "header")
+        _check_versioned(header, path, "header")
         try:
             values = np.array([float(line) for line in fh if line.strip()])
+        except UnicodeDecodeError:
+            raise  # _open_text names it
         except ValueError as exc:
             raise FormatError(f"{path}: bad sample: {exc}") from exc
     return header, values
 
 
+# Per vector kind: the header keys it must carry, each an integer or one of
+# a few strings, and the number of samples its header asks for.
+_LAYOUTS = {
+    "probes": ({"n": int, "m": int, "p": int, "seed": int}, lambda h: h["p"] * h["m"]),
+    "channels": ({"n": int, "p": int}, lambda h: h["n"] * h["p"]),
+    "measurements": ({"n": int, "m": int, "p": int, "variant": ("linear", "folded")},
+                     lambda h: h["m"] if h["variant"] == "folded" else h["m"] + h["n"] - 1),
+}
+
+
+def _read_layout(path, kind):
+    """Header and samples of a ``kind`` file, checked against ``_LAYOUTS``."""
+    header, values = read_vector_file(path)
+    if header.get("kind") != kind:
+        raise FormatError(f"{path}: not a {kind} file")
+    keys, count = _LAYOUTS[kind]
+    for key, allowed in keys.items():
+        value = header.get(key)
+        if allowed is int and not is_integer(value):
+            raise FormatError(f"{path}: header {key!r} must be an integer, got {value!r}")
+        if allowed is not int and value not in allowed:
+            raise FormatError(f"{path}: header {key!r} must be "
+                              f"{' or '.join(map(repr, allowed))}, got {value!r}")
+    expected = count(header)
+    if values.size != expected:
+        raise FormatError(f"{path}: expected {expected} samples, found {values.size}")
+    return header, values
+
+
 def write_probes(path, probes):
-    header = {
-        "kind": "probes",
-        "n": probes.dims.n,
-        "m": probes.dims.m,
-        "p": probes.dims.p,
-        "seed": probes.seed,
-    }
+    header = {"kind": "probes", **asdict(probes.dims), "seed": probes.seed}
     write_vector_file(path, header, probes.phi)
 
 
 def read_probes(path):
-    header, values = read_vector_file(path)
-    if header.get("kind") != "probes":
-        raise FormatError(f"{path}: not a probes file")
-    n, m, p = (_header_int(header, key, path) for key in ("n", "m", "p"))
-    dims = ProblemDims(n=n, m=m, p=p)
-    if values.size != dims.p * dims.m:
-        raise FormatError(
-            f"{path}: expected {dims.p * dims.m} samples, found {values.size}"
-        )
-    phi = values.reshape(dims.p, dims.m)
-    seed = _header_int(header, "seed", path)
+    h, values = _read_layout(path, "probes")
     try:
-        return ProbeSet.from_time_samples(dims, seed, phi)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+        dims = ProblemDims(n=h["n"], m=h["m"], p=h["p"])
+        return ProbeSet.from_time_samples(dims, h["seed"], values.reshape(dims.p, dims.m))
+    except SparsepError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def write_channels(path, n, p, h):
@@ -125,61 +165,29 @@ def write_channels(path, n, p, h):
 
 
 def read_channels(path):
-    header, values = read_vector_file(path)
-    if header.get("kind") != "channels":
-        raise FormatError(f"{path}: not a channels file")
-    if values.size != _header_int(header, "n", path) * _header_int(header, "p", path):
-        raise FormatError(f"{path}: sample count does not match n*p")
+    header, values = _read_layout(path, "channels")
     if not np.all(np.isfinite(values)):
         raise DataError(f"{path}: channel vector contains non-finite samples")
     return header, values
 
 
 def write_measurements(path, dims, variant, y, epsilon=0.0):
-    header = {
-        "kind": "measurements",
-        "variant": variant,
-        "n": dims.n,
-        "m": dims.m,
-        "p": dims.p,
-        "epsilon": float(epsilon),
-    }
+    header = {"kind": "measurements", "variant": variant, **asdict(dims),
+              "epsilon": float(epsilon)}
     write_vector_file(path, header, y)
 
 
 def read_measurements(path):
-    header, values = read_vector_file(path)
-    if header.get("kind") != "measurements":
-        raise FormatError(f"{path}: not a measurements file")
-    n, m, _ = (_header_int(header, key, path) for key in ("n", "m", "p"))
-    variant = header.get("variant")
-    if variant not in ("linear", "folded"):
-        raise FormatError(f"{path}: header 'variant' must be 'linear' or 'folded', got {variant!r}")
+    header, values = _read_layout(path, "measurements")
     epsilon = header.get("epsilon", 0.0)
     if not is_finite(epsilon):
         raise FormatError(f"{path}: header 'epsilon' must be a finite number, got {epsilon!r}")
-    expected = m if variant == "folded" else m + n - 1
-    if values.size != expected:
-        raise FormatError(f"{path}: expected {expected} samples, found {values.size}")
     return header, values
 
 
 def write_recovery(json_path, csv_path, result, meta=None):
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "kind": "recovery",
-        "method": result.method,
-        "residual_norm": result.residual_norm,
-        "l1_norm": result.l1_norm,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "note": result.note,
-    }
-    if meta:
-        payload.update(meta)
-    with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    scalars = {f.name: getattr(result, f.name) for f in fields(result) if f.name != "x_hat"}
+    _write_json(json_path, {"kind": "recovery", **scalars, **(meta or {})})
     if csv_path:
         write_vector_file(csv_path, {"kind": "estimate"}, result.x_hat)
 
@@ -193,14 +201,7 @@ def config_hash(config):
 
 
 def write_record_json(path, record):
-    with open(path, "w") as fh:
-        json.dump(
-            {"format_version": FORMAT_VERSION, **record.to_dict()},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(path, record.to_dict())
 
 
 def _flag(text):
@@ -237,7 +238,7 @@ def write_trials_csv(path, trials):
         for f, cell in zip(_TRIAL_FIELDS, cells):
             if "\r" in cell:
                 raise DataError(f"{path}: row {i}: column {f.name!r} holds a carriage return")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(f.name for f in _TRIAL_FIELDS)
         writer.writerows(body)
@@ -245,7 +246,7 @@ def write_trials_csv(path, trials):
 
 def read_trials_csv(path):
     """TrialRows from a trials CSV; columns absent from the header read as empty."""
-    with open(path, newline="") as fh:
+    with _open_text(path, newline="") as fh:
         text = fh.read()
     reader = csv.reader(io.StringIO(text, newline=""), strict=True)
     try:
@@ -277,8 +278,7 @@ def read_trials_csv(path):
 
 def write_manifest(path, tool_version, cfg_hash, numerics, inputs, outputs, started_at,
                    finished_at):
-    payload = {
-        "format_version": FORMAT_VERSION,
+    _write_json(path, {
         "kind": "run_manifest",
         "tool_version": tool_version,
         "config_hash": cfg_hash,
@@ -287,19 +287,19 @@ def write_manifest(path, tool_version, cfg_hash, numerics, inputs, outputs, star
         "outputs": outputs,
         "started_at": started_at,
         "finished_at": finished_at,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def read_manifest(path):
-    with open(path) as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: bad JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: manifest must be a JSON object")
-    _check_version(payload, path)
+    payload = _read_json(path)
+    _check_versioned(payload, path, "manifest")
     return payload
+
+
+def read_config(path):
+    """The ExperimentConfig in the JSON file ``path``."""
+    raw = _read_json(path)
+    try:
+        return ExperimentConfig.from_dict(raw)
+    except SparsepError as exc:
+        raise type(exc)(f"invalid config: {exc}") from exc

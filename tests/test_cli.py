@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsep import fileio
-from sparsep.cli import main
+from sparsep.cli import SparsepCommand, main
+from sparsep.errors import ParameterError
 from sparsep.experiments import NUMERICS, ExperimentConfig
 from sparsep.operators import linear_operator
 from sparsep.probes import ProblemDims, generate_probes
@@ -561,3 +562,78 @@ def test_any_json_value_for_one_field_exits_0_or_2(field, value):
         result = CliRunner().invoke(main, ["experiment", "--config", str(cfg),
                                            "--out-dir", str(Path(tmp) / "out")])
     assert result.exit_code in (0, 2), (result.output, result.exception)
+
+
+class TestBoundary:
+    """Errors become exit codes in one place, SparsepCommand.invoke."""
+
+    def test_every_command_uses_the_boundary(self):
+        assert main.commands
+        for command in main.commands.values():
+            assert isinstance(command, SparsepCommand)
+
+    @pytest.mark.parametrize("error, code", [(ParameterError("bad value"), 2),
+                                             (FileNotFoundError("no such file"), 3)],
+                             ids=["sparsep-error", "os-error"])
+    def test_new_command_inherits_exit_codes(self, runner, error, code):
+        @main.command("raise-for-test")
+        def raise_for_test():
+            raise error
+
+        try:
+            result = runner.invoke(main, ["raise-for-test"])
+        finally:
+            del main.commands["raise-for-test"]
+        assert result.exit_code == code, result.output
+        assert str(error) in result.output
+
+    @pytest.mark.parametrize("command", ["gen-probes", "simulate", "recover", "experiment"])
+    def test_output_in_missing_directory_exit_3(self, runner, tmp_path, command):
+        probes = gen(runner, tmp_path)
+        y = tmp_path / "y.csv"
+        assert invoke(runner, "simulate", "--probes", probes, "--random-sparse", 1,
+                      "--out", y).exit_code == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TestExperiment.CONFIG))
+        missing = tmp_path / "missing" / "out.csv"
+        # a missing out-dir is created, so the experiment's sits under a file
+        target = cfg / "out" if command == "experiment" else missing
+        args = {
+            "gen-probes": ["--n", 4, "--m", 8, "--p", 2, "--seed", 1, "--out", missing],
+            "simulate": ["--probes", probes, "--random-sparse", 1, "--out", missing],
+            "recover": ["--probes", probes, "--measurements", y, "--method", "bpdn",
+                        "--out-json", missing],
+            "experiment": ["--config", cfg, "--out-dir", target],
+        }[command]
+        result = runner.invoke(main, [command] + [str(a) for a in args])
+        assert result.exit_code == 3, result.output
+        assert str(target) in result.output
+        assert not target.exists()
+
+    @pytest.mark.parametrize("target", ["probes", "channels", "measurements", "config",
+                                        "manifest.json", "trials.csv"])
+    def test_non_utf8_input_exit_2(self, runner, tmp_path, target):
+        probes = gen(runner, tmp_path)
+        y, h = tmp_path / "y.csv", tmp_path / "h.csv"
+        assert invoke(runner, "simulate", "--probes", probes, "--random-sparse", 1,
+                      "--out", y, "--save-channels", h).exit_code == 0
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(TestExperiment.CONFIG))
+        assert invoke(runner, "experiment", "--config", cfg, "--out-dir", out).exit_code == 0
+        path, args = {
+            "probes": (probes, ["recover", "--probes", probes, "--measurements", y,
+                                "--method", "bpdn", "--out-json", tmp_path / "r.json"]),
+            "channels": (h, ["simulate", "--probes", probes, "--channels", h,
+                             "--out", tmp_path / "y2.csv"]),
+            "measurements": (y, ["recover", "--probes", probes, "--measurements", y,
+                                 "--method", "bpdn", "--out-json", tmp_path / "r.json"]),
+            "config": (cfg, ["experiment", "--config", cfg, "--out-dir", tmp_path / "o"]),
+            "manifest.json": (out / target, ["experiment", "--config", cfg,
+                                             "--out-dir", out, "--resume"]),
+            "trials.csv": (out / target, ["experiment", "--config", cfg,
+                                          "--out-dir", out, "--resume"]),
+        }[target]
+        path.write_bytes(b"\xff\xfe\xc3(" + path.read_bytes())
+        result = runner.invoke(main, [str(a) for a in args])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert path.name in result.output and "not UTF-8" in result.output

@@ -4,11 +4,11 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sparsep import fileio
-from sparsep.errors import DataError, FormatError
+from sparsep.errors import DataError, FormatError, SparsepError
 from sparsep.experiments import ExperimentConfig, TrialRow
 from sparsep.probes import ProblemDims, generate_probes
 
@@ -274,3 +274,89 @@ def test_header_must_be_an_object(tmp_path):
     path.write_text("[1, 2]\n0.5\n")
     with pytest.raises(FormatError):
         fileio.read_vector_file(path)
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """name -> (reader, bytes of a small valid file it reads)."""
+    tmp = tmp_path_factory.mktemp("valid")
+    probes, channels, measurements = tmp / "p.csv", tmp / "h.csv", tmp / "y.csv"
+    fileio.write_probes(probes, generate_probes(ProblemDims(2, 4, 1), 3))
+    fileio.write_channels(channels, n=2, p=1, h=[0.5, -1.0])
+    fileio.write_measurements(measurements, ProblemDims(2, 3, 1), "linear", np.ones(4), 0.1)
+    trials, manifest, config = tmp / "trials.csv", tmp / "manifest.json", tmp / "cfg.json"
+    fileio.write_trials_csv(trials, [TrialRow(grid_index=0, trial_index=0, seed=7, n=4, m=8,
+                                              p=2, s=1, epsilon=0.0, method="bpdn",
+                                              relative_error=1e-9, success=True)])
+    fileio.write_manifest(manifest, tool_version="0.1.0", cfg_hash="ab", numerics="x",
+                          inputs={}, outputs={}, started_at="t0", finished_at="t1")
+    config.write_text(json.dumps({"kind": "rip_scaling", "n_grid": [4], "m_grid": [8],
+                                  "p_grid": [2], "s_grid": [1], "trials": 1, "base_seed": 2}))
+    readers = {probes: fileio.read_probes, channels: fileio.read_channels,
+               measurements: fileio.read_measurements, trials: fileio.read_trials_csv,
+               manifest: fileio.read_manifest, config: fileio.read_config}
+    for path, reader in readers.items():
+        reader(path)  # each file is valid before it is mutated
+    return {path.name: (reader, path.read_bytes()) for path, reader in readers.items()}
+
+
+_BYTES = st.sampled_from([0xFF, 0xC3, 0x80, 0x00, ord("\n"), ord("\r"), ord('"'), ord(","),
+                          ord("{"), ord("["), ord("-"), ord("e"), ord("9")]) | st.integers(0, 255)
+_MUTATIONS = st.lists(st.tuples(st.sampled_from(["insert", "replace", "delete"]),
+                                st.integers(0, 2**16), _BYTES), min_size=1, max_size=4)
+
+
+def _mutate(data, mutations):
+    data = bytearray(data)
+    for op, where, byte in mutations:
+        i = where % (len(data) + 1)
+        if op == "insert":
+            data.insert(i, byte)
+        elif i < len(data):
+            if op == "replace":
+                data[i] = byte
+            else:
+                del data[i]
+    return bytes(data)
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(["p.csv", "h.csv", "y.csv", "trials.csv", "manifest.json",
+                             "cfg.json"]),
+       mutations=_MUTATIONS)
+@example(name="p.csv", mutations=[("insert", 0, 0xFF)])
+@example(name="trials.csv", mutations=[("replace", 40, 0xC3)])
+@example(name="manifest.json", mutations=[("insert", 5, 0xFF)])
+def test_readers_raise_only_sparsep_errors(tmp_path, valid_inputs, name, mutations):
+    # whatever the bytes, a reader returns or raises a SparsepError, which
+    # the command line reports with exit code 2
+    reader, data = valid_inputs[name]
+    path = tmp_path / name
+    path.write_bytes(_mutate(data, mutations))
+    try:
+        reader(path)
+    except SparsepError:
+        pass
+
+
+@pytest.mark.parametrize("reader, text", [
+    (fileio.read_probes, '{"format_version": 1, "kind": "probes", "n": ' + "9" * 5000 + "}\n"),
+    (fileio.read_manifest, "[" * 100_000),
+    (fileio.read_config, '{"trials": ' + "9" * 5000 + "}"),
+], ids=["long-integer-header", "deep-manifest", "long-integer-config"])
+def test_json_that_python_cannot_hold_is_a_format_error(tmp_path, reader, text):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        reader(path)
+
+
+def test_non_utf8_bytes_far_into_a_file_named(tmp_path):
+    # past the first decoded chunk, where the sample parser is reading
+    path = tmp_path / "p.csv"
+    fileio.write_probes(path, generate_probes(ProblemDims(4, 2000, 2), 1))
+    path.write_bytes(path.read_bytes()[:-4] + b"\xff\n")
+    with pytest.raises(FormatError, match="not UTF-8") as info:
+        fileio.read_probes(path)
+    assert str(path) in str(info.value)
