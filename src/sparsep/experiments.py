@@ -56,7 +56,8 @@ KINDS = tuple(_UNREAD)
 # Names the arithmetic behind every TrialRow float (operator kernel, solver
 # iterations, Lipschitz constant, restricted-norm Gram).  Change it with any
 # change that moves trial bits, so that ``--resume`` never mixes rows of two versions.
-NUMERICS = "rfft-kernel/fista-az-by-linearity/lanczos-norm/lag-gram-delta/dense-below-2**17"
+NUMERICS = ("rfft-kernel/fista-az-by-linearity/lanczos-norm/lag-gram-delta/dense-below-2**17"
+            "/circulant-column-spectra")
 METHODS = ("bpdn", "iht", "oracle")
 _GRIDS = ("n_grid", "m_grid", "p_grid", "s_grid", "epsilon_grid")
 

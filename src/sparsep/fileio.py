@@ -7,8 +7,8 @@ exactly.  Metadata (configs, results, manifests) is plain JSON.  Every
 file is UTF-8 text; readers raise FormatError on bytes that are not.
 
 Formats (all carry ``format_version``; readers reject other major
-versions, and raise FormatError on unparsable samples or on missing or
-ill-typed header keys):
+versions, raise FormatError on unparsable samples or on missing or
+ill-typed header keys, and DataError on a NaN or infinite sample):
 
 * probes        -- header {kind, n, m, p, seed}; p*m samples, row-major
   by source then time.
@@ -16,7 +16,7 @@ ill-typed header keys):
   by source.  Readers ignore extra header keys, such as the
   ``receiver_id`` older files carry.
 * measurements  -- header {kind, variant, n, m, p, epsilon}; m+n-1
-  (linear) or m (folded) samples.
+  (linear) or m (folded) samples.  ``epsilon`` is finite and >= 0.
 * recovery JSON -- RecoveryResult fields plus the estimate as CSV.
 * experiment outputs -- record JSON, flat trials CSV, run manifest JSON
   with the canonical config hash.  The trials CSV has one column per
@@ -139,6 +139,8 @@ def _read_layout(path, kind):
     expected = count(header)
     if values.size != expected:
         raise FormatError(f"{path}: expected {expected} samples, found {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise DataError(f"{path}: {kind} file contains non-finite samples")
     return header, values
 
 
@@ -151,7 +153,7 @@ def read_probes(path):
     h, values = _read_layout(path, "probes")
     try:
         dims = ProblemDims(n=h["n"], m=h["m"], p=h["p"])
-        return ProbeSet.from_time_samples(dims, h["seed"], values.reshape(dims.p, dims.m))
+        return ProbeSet(dims, h["seed"], values.reshape(dims.p, dims.m))
     except SparsepError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -165,10 +167,7 @@ def write_channels(path, n, p, h):
 
 
 def read_channels(path):
-    header, values = _read_layout(path, "channels")
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"{path}: channel vector contains non-finite samples")
-    return header, values
+    return _read_layout(path, "channels")
 
 
 def write_measurements(path, dims, variant, y, epsilon=0.0):
@@ -180,8 +179,9 @@ def write_measurements(path, dims, variant, y, epsilon=0.0):
 def read_measurements(path):
     header, values = _read_layout(path, "measurements")
     epsilon = header.get("epsilon", 0.0)
-    if not is_finite(epsilon):
-        raise FormatError(f"{path}: header 'epsilon' must be a finite number, got {epsilon!r}")
+    if not is_finite(epsilon, 0.0):
+        raise FormatError(
+            f"{path}: header 'epsilon' must be a finite number >= 0, got {epsilon!r}")
     return header, values
 
 

@@ -5,19 +5,27 @@ Two variants act on the concatenated channel vector x of length n*p
 
 * linear  -- y = sum_k conv_full(phi_k, x_k), length m + n - 1;
 * folded  -- the linear observations with the first n-1 entries added to
-  the last n-1, leaving m entries.  Each folded block is the first n
-  columns of an m x m circulant.
+  the last n-1, leaving m entries.
 
-Each operator runs one of two kernels, chosen by the size of its matrix:
+Both variants are the first n columns of p circulants of one length L,
+side by side, truncated to their first output_len rows.  Each operator
+holds the first columns ``c`` of its circulants, a real (p, L) array, and
+derives everything else from it:
+
+* folded -- L = m and c_k = roll(phi_k, 1 - n); output_len = m.
+* linear -- L = next_fast_len(m + n - 1), where circular and linear
+  convolution agree, and c_k is phi_k zero-padded to L; output_len =
+  m + n - 1.
+
+Entry (t, (k, j)) of the matrix is ``c[k, (t - j) mod L]``.  Each operator
+runs one of two kernels, chosen by the size of that matrix:
 
 * dense -- when output_len * input_len <= DENSE_KERNEL_ELEMENTS the
   operator holds its exact matrix, and apply/adjoint are one matrix-vector
   product each.  The constant bounds the matrix (1 MiB), so it is not
   charged to the dense budget of :mod:`sparsep.budgets`.
-* real FFT -- above it, circular convolution at length L against
-  (p, L//2 + 1) half spectra.  Folded: L = m and the first m//2 + 1
-  entries of ``probes.g``.  Linear: L = next_fast_len(m + n - 1), where
-  circular and linear convolution agree, keeping the first m + n - 1
+* real FFT -- above it, circular convolution at length L against the
+  (p, L//2 + 1) half spectra ``rfft(c)``, keeping the first output_len
   outputs.  irfft output is real by construction.
 
 The constant is the largest power of two below the measured crossover.
@@ -111,10 +119,11 @@ class FoldMap:
 class MeasurementOperator:
     """Operator handle for one variant, bound to a probe set.
 
-    The variant sets ``fft_len``, the half spectra and, for operators of
-    at most DENSE_KERNEL_ELEMENTS entries, the matrix that apply/adjoint
-    multiply by.  apply/adjoint are reentrant and allocate per call; the
-    operator is immutable.
+    The variant sets ``fft_len`` and the circulant columns ``c``; the half
+    spectra and, for operators of at most DENSE_KERNEL_ELEMENTS entries,
+    the matrix that apply/adjoint multiply by come from ``c``.
+    apply/adjoint are reentrant and allocate per call; the operator is
+    immutable.
     """
 
     def __init__(self, probes, variant):
@@ -122,21 +131,22 @@ class MeasurementOperator:
             raise ParameterError("probes must be a ProbeSet")
         variant = Variant(variant)
         self.probes = probes
-        self.dims = probes.dims
+        d = self.dims = probes.dims
         self.variant = variant
-        self.input_len = self.dims.signal_len
+        self.input_len = d.signal_len
         if variant is Variant.FOLDED:
-            self.output_len = self.fft_len = self.dims.m
-            self._g_half = probes.g[:, : self.dims.m // 2 + 1]
-            matrix = _folded_matrix
+            self.output_len = self.fft_len = d.m
+            self.c = np.roll(probes.phi, 1 - d.n, axis=1)
         else:
-            self.output_len = self.dims.linear_len
+            self.output_len = d.linear_len
             self.fft_len = next_fast_len(self.output_len, real=True)
-            self._g_half = np.fft.rfft(probes.phi, n=self.fft_len, axis=1)
-            matrix = _linear_matrix
+            self.c = np.zeros((d.p, self.fft_len))
+            self.c[:, : d.m] = probes.phi
+        self.c.setflags(write=False)
+        self._g_half = np.fft.rfft(self.c, axis=1)
         self._matrix = None
         if self.output_len * self.input_len <= DENSE_KERNEL_ELEMENTS:
-            self._matrix = matrix(probes)
+            self._matrix = _gather_matrix(self)
 
     def apply(self, x):
         """y = Phi x: one matrix-vector product, or one batched rfft over the p blocks."""
@@ -184,12 +194,12 @@ def _fft_adjoint(op, y):
 class LagGram:
     """Phi^T Phi of an operator, indexed by lag.
 
-    On the operator's length-L transform grid, column (k, j) of Phi is
-    phi_k shifted by j plus a fixed offset, so entry ((k, j), (l, i)) of
+    On the operator's length-L transform grid, column (k, j) of Phi is the
+    circulant column c_k shifted by j, so entry ((k, j), (l, i)) of
     Phi^T Phi is the circular cross-correlation ``lags[k, l, (j - i) mod L]``
     with ``lags[k, l] = irfft(conj(g_k) g_l)`` over the operator's half
-    spectra.  Folded: L = m.  Linear: L >= m + n - 1, so no lag wraps.
-    The table holds p * p * L floats.
+    spectra ``g = rfft(c)``.  Folded: L = m.  Linear: L >= m + n - 1, so
+    no lag wraps.  The table holds p * p * L floats.
     """
 
     def __init__(self, op):
@@ -217,7 +227,7 @@ def build_dense_linear(probes):
     """Explicit (m+n-1) x (n*p) block-Toeplitz matrix, within the dense budget."""
     d = probes.dims
     budgets.check_dense(d.linear_len * d.signal_len, "dense linear operator")
-    return _linear_matrix(probes)
+    return _gather_matrix(linear_operator(probes))
 
 
 def build_dense_folded(probes):
@@ -229,23 +239,10 @@ def build_dense_folded(probes):
     """
     d = probes.dims
     budgets.check_dense(d.m * d.signal_len, "dense folded operator")
-    return _folded_matrix(probes)
+    return _gather_matrix(folded_operator(probes))
 
 
-def _linear_matrix(probes):
-    d = probes.dims
-    out = np.zeros((d.linear_len, d.signal_len))
-    for k in range(d.p):
-        for j in range(d.n):
-            out[j : j + d.m, k * d.n + j] = probes.phi[k]
-    return out
-
-
-def _folded_matrix(probes):
-    d = probes.dims
-    t = np.arange(d.m)[:, None]
-    j = np.arange(d.n)[None, :]
-    idx = (d.n - 1 + t - j) % d.m
-    blocks = [probes.phi[k][idx] for k in range(d.p)]
-    return np.concatenate(blocks, axis=1)
-
+def _gather_matrix(op):
+    """The matrix of ``op``: entry (t, (k, j)) is ``c[k, (t - j) mod L]``, one gather."""
+    lag = (np.arange(op.output_len)[:, None] - np.arange(op.dims.n)) % op.fft_len
+    return op.c[:, lag].transpose(1, 0, 2).reshape(op.output_len, op.input_len)

@@ -1,14 +1,12 @@
-"""Random probe ensembles and their spectral representation.
+"""Random probe ensembles.
 
 A probe set is ``p`` real waveforms of length ``m`` with iid
 Normal(0, 1/m) samples, so each waveform has unit energy in expectation.
-The spectral view ``g`` holds, per source, the diagonal of the length-m
-DFT that diagonalizes the source's circulant measurement block; it is
-derived from the time-domain samples (the single source of truth), never
-sampled directly, so conjugate symmetry holds by construction.
+The time samples are all a probe set holds, as a probe file does; the
+circulant columns and spectra that the measurement operators multiply by
+are derived from them in :mod:`sparsep.operators`.
 
-Conventions: arrays are 0-based internally; the unitary DFT matrix used
-throughout is ``F(w, t) = exp(-2j*pi*w*t/m) / sqrt(m)``.
+Conventions: arrays are 0-based internally.
 """
 
 import sys
@@ -17,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, ParameterError
 
 
 def is_integer(value):
@@ -66,60 +64,48 @@ class ProblemDims:
         return self.m + self.n - 1
 
 
-def _spectra(phi, n):
-    """Per-source spectral diagonals from time-domain probes.
-
-    The circulant block of source k has first row
-    ``[phi(n), ..., phi(1), phi(m), ..., phi(n+1)]`` (1-based); its
-    eigenvalues on the unitary DFT basis are the conjugated FFT of that
-    row, which is what this returns.
-    """
-    m = phi.shape[1]
-    first_rows = np.roll(phi[:, ::-1], n % m, axis=1)
-    return np.conj(np.fft.fft(first_rows, axis=1))
-
-
-def _freeze(a):
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
+def _check_seed(seed):
+    """``seed`` as an int, or ParameterError unless it is a 64-bit key in [0, 2**64)."""
+    if not (is_integer(seed) and 0 <= seed < 2**64):
+        raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
 
 
 @dataclass(frozen=True)
 class ProbeSet:
-    """Immutable probe ensemble: time samples ``phi`` and spectra ``g``.
+    """Immutable probe ensemble: the time samples ``phi`` of shape (p, m).
 
-    ``phi`` has shape (p, m); ``g`` has shape (p, m) complex and satisfies
-    ``g[k, w] == conj(g[k, (m - w) % m])`` because phi is real.
-    Regeneration from (dims, seed) is bit-identical.
+    Construction checks ``phi``'s shape and finiteness and that ``seed`` is
+    a 64-bit key in [0, 2**64).  Regeneration from (dims, seed) is
+    bit-identical.
     """
 
     dims: ProblemDims
     seed: int
     phi: np.ndarray = field(repr=False)
-    g: np.ndarray = field(repr=False)
 
-    @classmethod
-    def from_time_samples(cls, dims, seed, phi):
-        phi = np.asarray(phi, dtype=np.float64)
-        if phi.shape != (dims.p, dims.m):
+    def __post_init__(self):
+        seed = _check_seed(self.seed)
+        phi = np.array(self.phi, dtype=np.float64, order="C")  # a copy: the caller's stays writable
+        if phi.shape != (self.dims.p, self.dims.m):
             raise DimensionError(
-                f"phi must have shape {(dims.p, dims.m)}, got {phi.shape}"
+                f"phi must have shape {(self.dims.p, self.dims.m)}, got {phi.shape}"
             )
         if not np.all(np.isfinite(phi)):
             raise DataError("phi contains non-finite samples")
-        g = _spectra(phi, dims.n)
-        return cls(dims=dims, seed=int(seed), phi=_freeze(phi), g=_freeze(g))
+        object.__setattr__(self, "seed", seed)
+        phi.setflags(write=False)
+        object.__setattr__(self, "phi", phi)
 
 
 def generate_probes(dims, seed):
     """Draw a probe set with iid Normal(0, 1/m) time samples.
 
     Deterministic in (dims, seed): the Philox stream is keyed by ``seed``
-    alone, and n enters only through the derived spectra.
+    alone, and n does not enter.
     """
     if not isinstance(dims, ProblemDims):
         dims = ProblemDims(*dims)
-    phi = rng.gaussians(seed, (dims.p, dims.m), scale=dims.m**-0.5)
-    return ProbeSet.from_time_samples(dims, seed, phi)
+    seed = _check_seed(seed)
+    return ProbeSet(dims, seed, rng.gaussians(seed, (dims.p, dims.m), scale=dims.m**-0.5))
 

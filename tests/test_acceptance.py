@@ -50,8 +50,9 @@ def test_criterion_01_operator_equivalence():
         folded = build_dense_folded(ps)
         linear = build_dense_linear(ps)
         worst = max(worst, np.max(np.abs(folded - fold @ linear)))
+        g = np.fft.fft(np.roll(ps.phi, 1 - d.n, axis=1), axis=1)
         for k in range(d.p):
-            block = f.conj().T @ np.diag(ps.g[k]) @ f[:, : d.n]
+            block = f.conj().T @ np.diag(g[k]) @ f[:, : d.n]
             worst = max(worst, np.max(np.abs(block - folded[:, k * d.n : (k + 1) * d.n])))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 1.0
@@ -98,6 +99,7 @@ def test_criterion_03_fold_spectrum():
 def test_criterion_04_proof_identities():
     d = ProblemDims(n=4, m=8, p=2)
     ps = generate_probes(d, 3)
+    g = np.fft.fft(np.roll(ps.phi, 1 - d.n, axis=1), axis=1)
     f = _dense_dft(d.m)
     vecs = {}
     for k in range(d.p):
@@ -111,7 +113,7 @@ def test_criterion_04_proof_identities():
     for k in range(d.p):
         for j in range(d.p):
             for w in range(d.m):
-                coef = np.conj(ps.g[k, w]) * ps.g[j, w]
+                coef = np.conj(g[k, w]) * g[j, w]
                 expansion += coef * np.outer(vecs[(k, w)], np.conj(vecs[(j, w)]))
     dense = build_dense_folded(ps)
     err_gram = np.max(np.abs(expansion - dense.T @ dense))

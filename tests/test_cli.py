@@ -38,6 +38,16 @@ def gen(runner, tmp_path, name="probes.csv", n=4, m=8, p=2, seed=7):
     return path
 
 
+def rewrite(path, header_changes, sample):
+    """Rewrite a vector file with header keys changed (None drops one) and,
+    unless ``sample`` is None, its first sample replaced."""
+    lines = path.read_text().splitlines()
+    header = dict(json.loads(lines[0]), **header_changes)
+    header = {k: v for k, v in header.items() if v is not None}
+    samples = lines[1:] if sample is None else [sample] + lines[2:]
+    path.write_text("\n".join([json.dumps(header)] + samples) + "\n")
+
+
 class TestGenProbes:
     def test_byte_identical_reruns(self, runner, tmp_path):
         a = gen(runner, tmp_path, "a.csv")
@@ -54,6 +64,16 @@ class TestGenProbes:
                                       "--seed", "1", "--out", str(tmp_path / "x.csv")])
         assert result.exit_code == 2
         assert "m must be >= n" in result.output
+
+    @pytest.mark.parametrize("seed", [2**64 + 1, -1])
+    def test_seed_outside_64_bits_exit_2(self, runner, tmp_path, seed):
+        # Philox keys on the low 64 bits: the header would name another seed's probes
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["gen-probes", "--n", "4", "--m", "8", "--p", "2",
+                                      "--seed", str(seed), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "seed must be an integer in [0, 2**64)" in result.output
+        assert not out.exists()
 
     def test_unwritable_path_exit_3(self, runner):
         result = runner.invoke(main, ["gen-probes", "--n", "4", "--m", "8", "--p", "2",
@@ -203,16 +223,35 @@ class TestRecover:
     ], ids=["probe-sample", "measurement-sample", "no-variant", "string-m", "string-n"])
     def test_bad_input_file_exit_2(self, runner, tmp_path, target, header_changes, sample):
         probes, y, _ = self.setup_instance(runner, tmp_path)
-        path = probes if target == "probes" else y
-        lines = path.read_text().splitlines()
-        header = dict(json.loads(lines[0]), **header_changes)
-        header = {k: v for k, v in header.items() if v is not None}
-        samples = lines[1:] if sample is None else [sample] + lines[2:]
-        path.write_text("\n".join([json.dumps(header)] + samples) + "\n")
+        rewrite(probes if target == "probes" else y, header_changes, sample)
         result = runner.invoke(main, ["recover", "--probes", str(probes),
                                       "--measurements", str(y), "--method", "bpdn",
                                       "--out-json", str(tmp_path / "r.json")])
         assert result.exit_code == 2, result.output
+
+    @pytest.mark.parametrize("method", ["bpdn", "oracle"])
+    @pytest.mark.parametrize("target, header_changes, sample", [
+        ("y", {}, "nan"),
+        ("y", {}, "-inf"),
+        ("probes", {}, "inf"),
+        ("y", {"epsilon": -1.0}, None),
+        ("probes", {"seed": 2**64 + 1}, None),
+        ("probes", {"seed": -1}, None),
+    ], ids=["measurement-nan", "measurement-inf", "probe-inf", "negative-epsilon",
+            "seed-above-64-bits", "negative-seed"])
+    def test_unusable_file_named(self, runner, tmp_path, method, target, header_changes,
+                                 sample):
+        # the error names the file, before any solver sees its values
+        probes, y, _ = self.setup_instance(runner, tmp_path)
+        path = probes if target == "probes" else y
+        rewrite(path, header_changes, sample)
+        out_json = tmp_path / "r.json"
+        result = runner.invoke(main, ["recover", "--probes", str(probes),
+                                      "--measurements", str(y), "--method", method,
+                                      "--support", "1", "--out-json", str(out_json)])
+        assert result.exit_code == 2, result.output
+        assert str(path) in result.output
+        assert not out_json.exists()
 
     @pytest.mark.parametrize("method", ["bpdn", "iht", "oracle"])
     @pytest.mark.parametrize("eps", ["-0.1", "nan", "inf"])

@@ -339,6 +339,9 @@ def test_coded_aperture_preset_calibrated_rate():
 # All but rip_scaling were re-recorded when operators below
 # DENSE_KERNEL_ELEMENTS took the dense kernel (FROZEN_RECORD_FLAGS held; the
 # largest move was 6.9e-9 relative, in an iht relative_error of 2.1e-8).
+# rip_scaling alone was re-recorded when the folded half spectra became
+# rfft(roll(phi, 1 - n)) in place of a slice of the full probe spectrum
+# (each snorm within 4.2e-16 relative, flags held).
 FROZEN_RECORDS = {
     "phase_transition": (
         dict(kind="phase_transition", n_grid=(4,), m_grid=(8,), p_grid=(2,), s_grid=(1, 2),
@@ -355,8 +358,8 @@ FROZEN_RECORDS = {
     "rip_scaling": (
         dict(kind="rip_scaling", n_grid=(4,), m_grid=(8, 16), p_grid=(2,), s_grid=(2,),
              trials=2, base_seed=12),
-        "60b8d8e1520a670960cba2bbacd6ad3b5e5b9f93efa66305627a9166a74f607f",
-        "1647d551c2b2013dd03229bcce85e8d10012eda876523e398db81c9886915706",
+        "e7356a777491ef2a506de47cf9dd04f25974e8b0adc3206fb863a7cad9ae6480",
+        "9c7c756d761eef3600fe197c6f4c70ffd361e205398c4e6ac99481f9c5e2f99b",
     ),
     "stability": (
         dict(kind="stability", n_grid=(4,), m_grid=(12,), p_grid=(2,), s_grid=(1,),

@@ -8,8 +8,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sparsep import fileio
-from sparsep.errors import DataError, FormatError, SparsepError
+from sparsep.errors import DataError, FormatError, ParameterError, SparsepError
 from sparsep.experiments import ExperimentConfig, TrialRow
+from sparsep.operators import folded_operator
 from sparsep.probes import ProblemDims, generate_probes
 
 
@@ -25,7 +26,7 @@ def test_probe_roundtrip_bit_identical(tmp_path):
     fileio.write_probes(path, ps)
     again = fileio.read_probes(path)
     assert np.array_equal(again.phi, ps.phi)
-    assert np.array_equal(again.g, ps.g)
+    assert np.array_equal(folded_operator(again)._g_half, folded_operator(ps)._g_half)
     assert again.seed == ps.seed and again.dims == ps.dims
 
 
@@ -238,6 +239,24 @@ def test_non_finite_probe_sample_rejected(tmp_path):
         fileio.read_probes(path)
 
 
+@pytest.mark.parametrize("sample", ["nan", "inf", "-inf"])
+def test_non_finite_measurement_sample_rejected(tmp_path, sample):
+    path = tmp_path / "y.csv"
+    fileio.write_measurements(path, ProblemDims(2, 3, 1), "folded", np.ones(3))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + [sample] + lines[3:]) + "\n")
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        fileio.read_measurements(path)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+def test_probe_seed_outside_64_bits_rejected(tmp_path, seed):
+    path = tmp_path / "p.csv"
+    write_probe_file(path, {"seed": seed})
+    with pytest.raises(ParameterError, match=re.escape(str(path))):
+        fileio.read_probes(path)
+
+
 def test_unparsable_sample_rejected(tmp_path):
     path = tmp_path / "p.csv"
     write_probe_file(path, samples=["0.25", "abc", "0.25", "0.25"])
@@ -256,7 +275,9 @@ def test_probe_header_types_checked(tmp_path, changes):
 
 @pytest.mark.parametrize("changes", [{"variant": None}, {"variant": "circular"},
                                      {"m": "6"}, {"n": None}, {"p": None},
-                                     {"epsilon": "0.1"}, {"epsilon": 10**400}])
+                                     {"epsilon": "0.1"}, {"epsilon": 10**400},
+                                     {"epsilon": -1.0}, {"epsilon": -1e-300},
+                                     {"epsilon": -1}])
 def test_measurement_header_types_checked(tmp_path, changes):
     path = tmp_path / "y.csv"
     fileio.write_measurements(path, ProblemDims(3, 6, 2), "folded", np.zeros(6))
@@ -265,7 +286,7 @@ def test_measurement_header_types_checked(tmp_path, changes):
     header.update(changes)
     header = {k: v for k, v in header.items() if v is not None}
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=re.escape(str(path))):
         fileio.read_measurements(path)
 
 

@@ -18,7 +18,7 @@ from sparsep.operators import (
     folded_operator,
     linear_operator,
 )
-from sparsep.probes import ProblemDims, generate_probes
+from sparsep.probes import ProblemDims, ProbeSet, generate_probes
 
 
 @pytest.fixture
@@ -54,7 +54,7 @@ class TestDenseLinear:
         # columns n+1..2n equal the single-source matrix of source 2's probe
         d, ps = small
         mat = build_dense_linear(ps)
-        single = build_dense_linear(ProbesView(d.n, d.m, ps.phi[1:2]))
+        single = build_dense_linear(ProbeSet(ProblemDims(d.n, d.m, 1), 0, ps.phi[1:2]))
         assert np.array_equal(mat[:, d.n :], single)
 
     def test_size_guard(self, small, monkeypatch):
@@ -62,14 +62,6 @@ class TestDenseLinear:
         _, ps = small
         with pytest.raises(BudgetError):
             build_dense_linear(ps)
-
-
-class ProbesView:
-    """Minimal probe-set stand-in for single-source dense checks."""
-
-    def __init__(self, n, m, phi):
-        self.dims = ProblemDims(n=n, m=m, p=phi.shape[0])
-        self.phi = phi
 
 
 class TestFoldMap:
@@ -301,6 +293,45 @@ def test_lag_gram_equals_dense_residual(n, extra, p, seed, variant):
     assert np.max(np.abs(residual - (np.eye(n * p) - dense.T @ dense))) <= 1e-12
 
 
+def _circulant(c):
+    """Dense circulant with first column c: entry (t, u) is c[(t - u) mod len(c)]."""
+    return np.stack([np.roll(c, u) for u in range(c.size)], axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    extra=st.integers(0, 24),
+    p=st.integers(1, 4),
+    seed=st.integers(0, 2**64 - 1),
+    variant=st.sampled_from(list(Variant)),
+)
+@example(n=4, extra=4, p=2, seed=0, variant=Variant.LINEAR)  # L = 12 > m+n-1 = 11
+@example(n=1, extra=0, p=1, seed=0, variant=Variant.FOLDED)
+def test_blocks_are_circulant_columns(n, extra, p, seed, variant):
+    # block k of the matrix is the first n columns of the circulant of c_k,
+    # built here from phi alone: roll(phi_k, 1 - n) folded, phi_k
+    # zero-padded to L linear; folded blocks are F* diag(fft(c_k)) F[:, :n]
+    d = ProblemDims(n, n + extra, p)
+    ps = generate_probes(d, seed)
+    op = MeasurementOperator(ps, variant)
+    dense = (build_dense_folded if variant is Variant.FOLDED else build_dense_linear)(ps)
+    if variant is Variant.FOLDED:
+        c = np.roll(ps.phi, 1 - n, axis=1)
+    else:
+        c = np.pad(ps.phi, ((0, 0), (0, op.fft_len - d.m)))
+    if op._matrix is not None:
+        assert np.array_equal(op._matrix, dense)
+    w = np.arange(d.m)
+    f = np.exp(-2j * np.pi * np.outer(w, w) / d.m) / np.sqrt(d.m)
+    for k in range(p):
+        block = dense[:, k * n : (k + 1) * n]
+        assert np.array_equal(block, _circulant(c[k])[: op.output_len, :n])
+        if variant is Variant.FOLDED:
+            spectral = f.conj().T @ np.diag(np.fft.fft(c[k])) @ f[:, :n]
+            assert np.max(np.abs(spectral - block)) <= 1e-12
+
+
 class TestGramExpansions:
     def build_f_vectors(self, d):
         m, n, p = d.m, d.n, d.p
@@ -324,11 +355,12 @@ class TestGramExpansions:
     def test_gram_equals_rank_one_expansion(self, small):
         d, ps = small
         vecs = self.build_f_vectors(d)
+        g = np.fft.fft(np.roll(ps.phi, 1 - d.n, axis=1), axis=1)
         expansion = np.zeros((d.signal_len, d.signal_len), dtype=complex)
         for k in range(d.p):
             for j in range(d.p):
                 for w in range(d.m):
-                    coef = np.conj(ps.g[k, w]) * ps.g[j, w]
+                    coef = np.conj(g[k, w]) * g[j, w]
                     expansion += coef * np.outer(vecs[(k, w)], np.conj(vecs[(j, w)]))
         dense = build_dense_folded(ps)
         gram = dense.T @ dense

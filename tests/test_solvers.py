@@ -335,7 +335,7 @@ class TestOperatorNorm:
     def test_zero_operator(self):
         # ARPACK cannot start on a zero Gram; the norm is 0 all the same
         d = ProblemDims(4, 8, 2)
-        zero = folded_operator(ProbeSet.from_time_samples(d, 0, np.zeros((d.p, d.m))))
+        zero = folded_operator(ProbeSet(d, 0, np.zeros((d.p, d.m))))
         assert operator_norm_sq(zero) == 0.0
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
@@ -375,7 +375,7 @@ class TestOracleLS:
         probes = generate_probes(d, 8)
         phi = probes.phi.copy()
         phi[1] = phi[0]  # duplicated source makes matching columns collide
-        dup = ProbeSet.from_time_samples(d, 8, phi)
+        dup = ProbeSet(d, 8, phi)
         op = folded_operator(dup)
         y = op.apply(np.array([1.0, 0.0, 0.0, 0.0]))
         res = solve_oracle_ls(op, y, [0, 2])
