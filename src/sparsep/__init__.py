@@ -20,7 +20,6 @@ from .probes import (
     generate_probes,
 )
 from .operators import (
-    FoldMap,
     MeasurementOperator,
     Variant,
     build_dense_folded,
@@ -56,7 +55,6 @@ __all__ = [
     "ProblemDims",
     "ProbeSet",
     "generate_probes",
-    "FoldMap",
     "MeasurementOperator",
     "Variant",
     "linear_operator",

@@ -65,57 +65,6 @@ class Variant(enum.Enum):
     FOLDED = "folded"
 
 
-class FoldMap:
-    """The m x (m+n-1) map adding the first n-1 entries to the last n-1.
-
-    out[t] = in[n-1+t] for t = 0..m-n, and
-    out[m-n+1+t] = in[m+t] + in[t] for t = 0..n-2 (0-based).
-    Its largest singular value is sqrt(2) for n >= 2 and 1 for n == 1.
-    """
-
-    def __init__(self, m, n):
-        if n < 1 or m < n:
-            raise DimensionError(f"need m >= n >= 1, got m={m}, n={n}")
-        self.m = int(m)
-        self.n = int(n)
-        self.input_len = self.m + self.n - 1
-        self.output_len = self.m
-
-    def apply(self, y_lin):
-        y_lin = np.asarray(y_lin, dtype=np.float64)
-        if y_lin.shape != (self.input_len,):
-            raise DimensionError(
-                f"expected length {self.input_len}, got {y_lin.shape}"
-            )
-        out = y_lin[self.n - 1 : self.m].copy()
-        if self.n > 1:
-            out = np.concatenate([out, y_lin[self.m :] + y_lin[: self.n - 1]])
-        return out
-
-    def adjoint(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.output_len,):
-            raise DimensionError(
-                f"expected length {self.output_len}, got {y.shape}"
-            )
-        out = np.zeros(self.input_len)
-        out[self.n - 1 : self.m] = y[: self.m - self.n + 1]
-        if self.n > 1:
-            tail = y[self.m - self.n + 1 :]
-            out[self.m :] = tail
-            out[: self.n - 1] += tail
-        return out
-
-    def dense(self):
-        a = np.zeros((self.output_len, self.input_len))
-        for t in range(self.m - self.n + 1):
-            a[t, self.n - 1 + t] = 1.0
-        for t in range(self.n - 1):
-            a[self.m - self.n + 1 + t, self.m + t] = 1.0
-            a[self.m - self.n + 1 + t, t] = 1.0
-        return a
-
-
 class MeasurementOperator:
     """Operator handle for one variant, bound to a probe set.
 
@@ -233,9 +182,9 @@ def build_dense_linear(probes):
 def build_dense_folded(probes):
     """Explicit m x (n*p) concatenation of first-n-column circulant blocks.
 
-    Entry (t, j) of block k is phi_k[(n-1+t-j) mod m]; this agrees with
-    FoldMap applied to the dense linear matrix entry for entry.  Gated by
-    the dense budget.
+    Entry (t, j) of block k is phi_k[(n-1+t-j) mod m]: the dense linear
+    matrix from row n-1 on, with its first n-1 rows added to its last n-1.
+    Gated by the dense budget.
     """
     d = probes.dims
     budgets.check_dense(d.m * d.signal_len, "dense folded operator")

@@ -15,7 +15,6 @@ from sparsep import rng
 from sparsep.cli import main as cli_main
 from sparsep.experiments import ExperimentConfig, run_experiment
 from sparsep.operators import (
-    FoldMap,
     build_dense_folded,
     build_dense_linear,
     folded_operator,
@@ -39,9 +38,9 @@ def _dense_dft(m):
     return np.exp(-2j * np.pi * np.outer(w, w) / m) / np.sqrt(m)
 
 
-def test_criterion_01_operator_equivalence():
+def test_criterion_01_operator_equivalence(fold_matrix):
     d = ProblemDims(n=4, m=8, p=2)
-    fold = FoldMap(d.m, d.n).dense()
+    fold = fold_matrix(d.m, d.n)
     f = _dense_dft(d.m)
     start = time.perf_counter()
     worst = 0.0
@@ -85,12 +84,12 @@ def test_criterion_02_matrix_free_correctness():
     _report(2, ok, f"apply vs dense {worst_apply:.2e}, adjoint pairing {worst_adj:.2e}")
 
 
-def test_criterion_03_fold_spectrum():
+def test_criterion_03_fold_spectrum(fold_matrix):
     gaps = []
     for m, n in [(8, 4), (16, 5)]:
-        smax = np.linalg.svd(FoldMap(m, n).dense(), compute_uv=False)[0]
+        smax = np.linalg.svd(fold_matrix(m, n), compute_uv=False)[0]
         gaps.append(abs(smax - np.sqrt(2.0)))
-    smax1 = np.linalg.svd(FoldMap(8, 1).dense(), compute_uv=False)[0]
+    smax1 = np.linalg.svd(fold_matrix(8, 1), compute_uv=False)[0]
     gaps.append(abs(smax1 - 1.0))
     ok = all(gap < 1e-12 for gap in gaps)
     _report(3, ok, f"sigma_max gaps {[f'{g:.1e}' for g in gaps]}")

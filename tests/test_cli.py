@@ -388,16 +388,28 @@ class TestExperiment:
         ("trials.csv", lambda t: t.replace("\n0,1,", "\n1,", 1), "line 3"),
         ("trials.csv", lambda t: t.replace("\n0,2,", "\n0,2,abc", 1), "line 4"),
         ("manifest.json", lambda t: t[: len(t) // 2], ""),
-    ], ids=["cut_row", "missing_cell", "abc_cell", "cut_manifest"])
+        # rows the config's grid does not hold: 2 points x 5 trials
+        ("trials.csv", lambda t: t + "7" + t.splitlines()[-1][1:] + "\n", "(7, 4) is outside"),
+        ("trials.csv", lambda t: t + "0,9" + t.splitlines()[1][3:] + "\n", "(0, 9) is outside"),
+        ("trials.csv", lambda t: t + "-1" + t.splitlines()[1][1:] + "\n", "(-1, 0) is outside"),
+        ("trials.csv", lambda t: t + t.splitlines()[1] + "\n", "(0, 0) appears twice"),
+        ("trials.csv", lambda t: t.replace(",4,8,2,1,", ",4,12,2,1,", 1), "(0, 0) does not match"),
+        ("trials.csv", lambda t: t.replace(",1,0,bpdn,", ",1,0.5,bpdn,", 1), "(0, 0) does not"),
+        ("trials.csv", lambda t: t.replace("\n0,0,", "\n0,0,1", 1), "(0, 0) does not match"),
+    ], ids=["cut_row", "missing_cell", "abc_cell", "cut_manifest", "grid_outside",
+            "trial_outside", "grid_negative", "duplicate_trial", "other_m", "other_epsilon",
+            "other_seed"])
     def test_resume_damaged_input_exit_2(self, runner, tmp_path, name, damage, where):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "out"
         assert invoke(runner, "experiment", "--config", cfg, "--out-dir", out).exit_code == 0
         path = out / name
         path.write_text(damage(path.read_text()))
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
         result = invoke(runner, "experiment", "--config", cfg, "--out-dir", out, "--resume")
         assert result.exit_code == 2
         assert str(path) in result.output and where in result.output
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
 
     def test_resume_rejects_other_config(self, runner, tmp_path):
         cfg = self.write_config(tmp_path)

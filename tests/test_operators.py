@@ -7,7 +7,6 @@ from sparsep.budgets import BudgetError
 from sparsep.errors import DimensionError, ParameterError
 from sparsep.operators import (
     DENSE_KERNEL_ELEMENTS,
-    FoldMap,
     LagGram,
     MeasurementOperator,
     Variant,
@@ -65,44 +64,26 @@ class TestDenseLinear:
 
 
 class TestFoldMap:
-    def test_example(self):
-        fm = FoldMap(m=3, n=2)
-        assert np.array_equal(fm.apply(np.array([1.0, 2.0, 3.0, 4.0])), [2.0, 3.0, 5.0])
+    """The test-side fold matrix that the folded operator is checked against."""
 
-    def test_identity_when_n1(self):
-        fm = FoldMap(m=5, n=1)
-        y = np.arange(5.0)
-        assert np.array_equal(fm.apply(y), y)
-        assert np.linalg.norm(np.linalg.svd(fm.dense(), compute_uv=False)[0] - 1.0) < 1e-12
+    def test_example(self, fold_matrix):
+        assert np.array_equal(fold_matrix(3, 2) @ np.array([1.0, 2.0, 3.0, 4.0]), [2.0, 3.0, 5.0])
+
+    def test_identity_when_n1(self, fold_matrix):
+        assert np.array_equal(fold_matrix(5, 1), np.eye(5))
 
     @pytest.mark.parametrize("m,n", [(8, 4), (16, 5), (6, 6), (9, 2)])
-    def test_sigma_max_sqrt2(self, m, n):
-        fm = FoldMap(m=m, n=n)
-        smax = np.linalg.svd(fm.dense(), compute_uv=False)[0]
+    def test_sigma_max_sqrt2(self, fold_matrix, m, n):
+        smax = np.linalg.svd(fold_matrix(m, n), compute_uv=False)[0]
         assert abs(smax - np.sqrt(2.0)) < 1e-12
-
-    def test_adjoint_identity(self):
-        fm = FoldMap(m=8, n=4)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x = rng.standard_normal(fm.input_len)
-            y = rng.standard_normal(fm.output_len)
-            assert abs(fm.apply(x) @ y - x @ fm.adjoint(y)) < 1e-12
-
-    def test_dimension_errors(self):
-        fm = FoldMap(m=4, n=2)
-        with pytest.raises(DimensionError):
-            fm.apply(np.zeros(4))
-        with pytest.raises(DimensionError):
-            FoldMap(m=2, n=3)
 
 
 class TestDenseFolded:
-    def test_equals_fold_of_linear(self, small):
+    def test_equals_fold_of_linear(self, small, fold_matrix):
         d, ps = small
         folded = build_dense_folded(ps)
         lin = build_dense_linear(ps)
-        fold = FoldMap(d.m, d.n).dense()
+        fold = fold_matrix(d.m, d.n)
         assert np.max(np.abs(folded - fold @ lin)) < 1e-12
 
     def test_n1_equals_linear(self):
@@ -168,14 +149,14 @@ class TestMatrixFree:
         rhs = 2.5 * op.apply(x) - 1.25 * op.apply(z)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
-    def test_fold_identity_on_applies(self, medium):
+    def test_fold_identity_on_applies(self, medium, fold_matrix):
         d, ps = medium
-        fm = FoldMap(d.m, d.n)
+        fold = fold_matrix(d.m, d.n)
         opl, opf = linear_operator(ps), folded_operator(ps)
         rng = np.random.default_rng(8)
         for _ in range(10):
             x = rng.standard_normal(d.signal_len)
-            assert np.max(np.abs(opf.apply(x) - fm.apply(opl.apply(x)))) < 1e-12
+            assert np.max(np.abs(opf.apply(x) - fold @ opl.apply(x))) < 1e-12
 
     def test_dimension_mismatch(self, medium):
         _, ps = medium

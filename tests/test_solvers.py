@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from sparsep import rng
 from sparsep.errors import BudgetError, DataError, DimensionError, ParameterError
+from sparsep.experiments import _FrameDifferenceOperator
 from sparsep.operators import (
     MeasurementOperator,
     Variant,
@@ -254,34 +255,6 @@ class TestIHT:
         with pytest.raises(ParameterError):
             solve_iht(op, np.zeros(3), 0, SolverConfig())
 
-    def test_no_descent_step_stops_at_the_held_iterate(self):
-        # an adjoint pointing uphill: no halving of the step lowers the
-        # residual, so the zero start is kept without another apply
-        d = ProblemDims(8, 24, 4)
-        probes, h, _ = sparse_instance(d, 3, 4)
-        base = folded_operator(probes)
-        applies = []
-
-        class Uphill:
-            input_len, output_len = base.input_len, base.output_len
-
-            def apply(self, x):
-                applies.append(1)
-                return base.apply(x)
-
-            def adjoint(self, r):
-                return -1e30 * base.adjoint(r)
-
-        y = base.apply(h)
-        operator_norm_sq(Uphill())
-        norm_applies = len(applies)
-        applies.clear()
-        res = solve_iht(Uphill(), y, 4, SolverConfig())
-        assert np.array_equal(res.x_hat, np.zeros(d.signal_len))
-        assert res.converged and res.iterations == 1
-        assert res.residual_norm == np.linalg.norm(y)
-        assert len(applies) == norm_applies + 60  # the norm, then one per halving
-
 
 class CountingOp:
     """Test hook: forwards to ``base`` and counts apply and adjoint calls."""
@@ -297,6 +270,43 @@ class CountingOp:
     def adjoint(self, y):
         self.calls += 1
         return self.base.adjoint(y)
+
+
+def _iht_case(n, m, p, seed, variant, s, frame=False):
+    op = MeasurementOperator(generate_probes(ProblemDims(n, m, p), seed), variant)
+    if frame:
+        op = _FrameDifferenceOperator(op, p, n)
+    return op, rng.gaussians(rng.derive_seed(seed, 9), op.output_len), s
+
+
+@st.composite
+def _iht_cases(draw):
+    n = draw(st.integers(1, 8))
+    p = draw(st.integers(1 if n > 1 else 2, 4))
+    return _iht_case(n, draw(st.integers(n, 24)), p, draw(st.integers(0, 2**64 - 1)),
+                     draw(st.sampled_from(Variant)), draw(st.integers(1, n * p - 1)),
+                     draw(st.booleans()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_iht_cases())
+@example(case=_iht_case(64, 256, 16, 1, Variant.FOLDED, 20))  # above DENSE_KERNEL_ELEMENTS
+@example(case=_iht_case(8, 24, 4, 3, Variant.FOLDED, 4, frame=True))
+def test_iht_descends_at_two_operator_calls_per_iteration(case):
+    # the step 1/||Phi||^2 minimizes a majorizer of the residual over s-sparse
+    # x, so no max_iter prefix ends above the one before it; each iteration is
+    # one adjoint and one apply, after the norm's Lanczos calls
+    base, y, s = case
+    op = CountingOp(base)
+    operator_norm_sq(op)
+    norm_calls = op.calls
+    residuals = [float(np.linalg.norm(y))]
+    for max_iter in (1, 2, 3, 5, 8, 13, 21, 34):
+        op.calls = 0
+        res = solve_iht(op, y, s, SolverConfig(max_iter=max_iter))
+        assert op.calls == norm_calls + 2 * res.iterations
+        residuals.append(res.residual_norm)
+    assert all(b <= a * (1 + 1e-12) for a, b in zip(residuals, residuals[1:]))
 
 
 def _norm_case(n, m, p, seed, variant):
