@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 usage/validation error, 3 I/O error,
 config fields; nothing is seeded from the clock.
 """
 
-import collections
 import datetime
 import pathlib
 import sys
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import __version__, fileio, rng
 from .errors import DataError, ParameterError, SparsepError
-from .experiments import NUMERICS, grid_points, run_experiment
+from .experiments import NUMERICS, complete_points, grid_points, run_experiment
 from .operators import MeasurementOperator
 from .probes import ProblemDims, generate_probes
 from .solvers import SolverConfig, solve_bpdn, solve_iht, solve_oracle_ls
@@ -179,32 +178,6 @@ def _utc_now():
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _complete_points(cfg, rows, path):
-    """Grid indices of the points whose every trial ``rows`` hold.
-
-    DataError naming ``path`` unless each row is a distinct trial of the
-    config: its (grid_index, trial_index) lies in the grid and appears
-    once, and it carries its grid point's n, m, p, s, epsilon and its
-    trial's seed.
-    """
-    points = grid_points(cfg)
-    seen = set()
-    for row in rows:
-        key = gi, t = row.grid_index, row.trial_index
-        if not (0 <= gi < len(points) and 0 <= t < cfg.trials):
-            raise DataError(f"{path}: trial {key} is outside the config's "
-                            f"{len(points)} grid points x {cfg.trials} trials")
-        if key in seen:
-            raise DataError(f"{path}: trial {key} appears twice")
-        seen.add(key)
-        pt = points[gi]
-        if ((row.n, row.m, row.p, row.s, row.epsilon, row.seed)
-                != (pt.n, pt.m, pt.p, pt.s, pt.epsilon, rng.derive_seed(cfg.base_seed, gi, t))):
-            raise DataError(f"{path}: trial {key} does not match the config's grid point or seed")
-    counts = collections.Counter(gi for gi, _ in seen)
-    return {gi for gi, c in counts.items() if c == cfg.trials}
-
-
 @main.command("experiment")
 @click.option("--config", "config_path", type=click.Path(), required=True)
 @click.option("--out-dir", type=click.Path(file_okay=False), required=True)
@@ -232,7 +205,10 @@ def experiment(config_path, out_dir, threads, resume):
                 f"--resume: existing trials were computed with numerics "
                 f"{manifest.get('numerics')!r}, not {NUMERICS!r}; run without --resume")
         previous = fileio.read_trials_csv(trials_path)
-        complete = _complete_points(cfg, previous, trials_path)
+        try:
+            complete = complete_points(cfg, previous)
+        except DataError as exc:
+            raise DataError(f"{trials_path}: {exc}") from exc
         reuse = [r for r in previous if r.grid_index in complete]
         click.echo(f"resume: reusing {len(complete)} complete grid points")
 

@@ -29,6 +29,7 @@ that every epsilon sees the same probes and channel.  Trials are
 independent, may run on any thread, and aggregate order-independently.
 """
 
+import collections
 import functools
 import itertools
 import time
@@ -38,7 +39,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from . import rng
-from .errors import BudgetError, ParameterError
+from .errors import BudgetError, DataError, ParameterError
 from .operators import folded_operator, linear_operator
 from .probes import ProblemDims, generate_probes, is_finite, is_integer
 from .snorm import EXACT, RANDOMIZED, rip_delta
@@ -54,10 +55,11 @@ _UNREAD = {
 }
 KINDS = tuple(_UNREAD)
 # Names the arithmetic behind every TrialRow float (operator kernel, solver
-# iterations, Lipschitz constant, restricted-norm Gram).  Change it with any
-# change that moves trial bits, so that ``--resume`` never mixes rows of two versions.
+# iterations, Lipschitz constant, restricted-norm Gram and block kernel).
+# Change it with any change that moves trial bits, so that ``--resume``
+# never mixes rows of two versions.
 NUMERICS = ("rfft-kernel/fista-az-by-linearity/lanczos-norm/lag-gram-delta/dense-below-2**17"
-            "/circulant-column-spectra")
+            "/circulant-column-spectra/closed-form-snorm-2x2-3x3")
 METHODS = ("bpdn", "iht", "oracle")
 _GRIDS = ("n_grid", "m_grid", "p_grid", "s_grid", "epsilon_grid")
 
@@ -460,14 +462,42 @@ def _trial_fn(kind):
     return _recovery_trial
 
 
+def complete_points(cfg, rows):
+    """Grid indices of the points whose every trial ``rows`` hold.
+
+    DataError unless each row is a distinct trial of the config: its
+    (grid_index, trial_index) lies in the grid and appears once, and it
+    carries its grid point's n, m, p, s, epsilon and its trial's seed.
+    """
+    points = grid_points(cfg)
+    seen = set()
+    for row in rows:
+        key = gi, t = row.grid_index, row.trial_index
+        if not (0 <= gi < len(points) and 0 <= t < cfg.trials):
+            raise DataError(f"trial {key} is outside the config's "
+                            f"{len(points)} grid points x {cfg.trials} trials")
+        if key in seen:
+            raise DataError(f"trial {key} appears twice")
+        seen.add(key)
+        pt = points[gi]
+        if ((row.n, row.m, row.p, row.s, row.epsilon, row.seed)
+                != (pt.n, pt.m, pt.p, pt.s, pt.epsilon, rng.derive_seed(cfg.base_seed, gi, t))):
+            raise DataError(f"trial {key} does not match the config's grid point or seed")
+    counts = collections.Counter(gi for gi, _ in seen)
+    return {gi for gi, c in counts.items() if c == cfg.trials}
+
+
 def run_experiment(cfg, threads=1, reuse=()):
     """Run the trials of ``cfg.kind`` over the config's grid and aggregate them.
 
     ``reuse`` supplies already-computed TrialRows (resume support): every
     (grid_index, trial_index) they do not cover is run, and the record
-    holds the union sorted by that key.  Identical config and base_seed
-    give an identical record up to wall_time regardless of threads.
+    holds the union sorted by that key.  DataError unless every reused row
+    is a distinct trial of the config (:func:`complete_points`).  Identical
+    config and base_seed give an identical record up to wall_time
+    regardless of threads.
     """
+    complete_points(cfg, reuse)
     points = grid_points(cfg)
     done = {(r.grid_index, r.trial_index): r for r in reuse}
     tasks = [

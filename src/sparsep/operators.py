@@ -148,20 +148,40 @@ class LagGram:
     Phi^T Phi is the circular cross-correlation ``lags[k, l, (j - i) mod L]``
     with ``lags[k, l] = irfft(conj(g_k) g_l)`` over the operator's half
     spectra ``g = rfft(c)``.  Folded: L = m.  Linear: L >= m + n - 1, so
-    no lag wraps.  The table holds p * p * L floats.
+    no lag wraps.
+
+    Within-block offsets differ by d = j - i in [-(n-1), n-1], so the
+    residual I - Phi^T Phi is held as a signed-lag table of shape
+    (p, p, 2n - 1), entry [k, l, d + n - 1] = delta_kl delta_d0 -
+    lags[k, l, d mod L].  Entry ((k, j), (l, i)) of the residual then sits
+    at flat position ``row[(k, j)] + col[(l, i)]`` with per-index offsets
+    row = k p (2n - 1) + j + n - 1 and col = l (2n - 1) - i, so each block
+    row is one gather, with no modulo, and holds the bits of
+    ``eye - lags[...]``.
     """
 
     def __init__(self, op):
         g = op._g_half
-        self.lags = np.fft.irfft(np.conj(g)[:, None, :] * g[None, :, :], n=op.fft_len, axis=-1)
-        self.n, self.p, self.fft_len = op.dims.n, op.dims.p, op.fft_len
+        n, p, fft_len = op.dims.n, op.dims.p, op.fft_len
+        lags = np.fft.irfft(np.conj(g)[:, None, :] * g[None, :, :], n=fft_len, axis=-1)
+        signed = lags[:, :, np.arange(1 - n, n) % fft_len]
+        eye = np.zeros_like(signed)
+        eye[np.arange(p), np.arange(p), n - 1] = 1.0
+        self._residual = (eye - signed).reshape(-1)
+        k, j = np.divmod(np.arange(n * p), n)
+        self._row = k * (p * (2 * n - 1)) + j + (n - 1)
+        self._col = k * (2 * n - 1) - j
 
     def residual_blocks(self, idx):
         """Principal blocks (I - Phi^T Phi)[idx, idx] for indices of shape (..., s)."""
-        k, j = np.divmod(np.asarray(idx), self.n)
-        pair = k[..., :, None] * self.p + k[..., None, :]
-        lag = (j[..., :, None] - j[..., None, :]) % self.fft_len
-        return np.eye(k.shape[-1]) - self.lags.reshape(-1)[pair * self.fft_len + lag]
+        idx = np.asarray(idx)
+        row, col = self._row[idx], self._col[idx]
+        out = np.empty(idx.shape + idx.shape[-1:])
+        # row by row: a broadcast (..., s, s) index sum would allocate its
+        # index array and, past 8192 entries, two ufunc buffers besides
+        for i in range(idx.shape[-1]):
+            out[..., i, :] = self._residual[row[..., i, None] + col]
+        return out
 
 
 def linear_operator(probes):

@@ -6,15 +6,20 @@ equals the spectral norm of the principal submatrix, and it is monotone
 in s, so enumerating supports of size exactly s suffices.
 
 Both modes see A only through ``blocks(idx)``, its principal submatrices
-for a (B, s) batch of supports.  Exact mode enumerates all supports
-lexicographically (deterministic first-found tie-break) and is gated by
-the enumeration budget C(N, s) * s^3.  Randomized mode samples supports
-and sharpens each with a steepest single-swap ascent; it is a lower bound
-on the exact value and reproducible given its seed.  Each ascent step
-scores all s * (N - s) swaps as one batch, in (position, outside index)
-order with each candidate support sorted, and moves to the first strict
-maximum above the current value.  For delta_s, both modes read
-I - Phi^T Phi from the operator's p x p x m lag table
+for a (B, s) batch of supports, and score every block with one kernel,
+:func:`_spectral_norms`: closed forms for symmetric 2 x 2 and 3 x 3
+blocks (LAPACK for a 3 x 3 block near a double eigenvalue), LAPACK
+``eigvalsh`` for larger symmetric blocks and the SVD otherwise.  A block's
+value depends on that block alone, so both modes score a support alike.
+Exact mode enumerates all supports lexicographically (deterministic
+first-found tie-break) and is gated by the enumeration budget
+C(N, s) * s^3.  Randomized mode samples supports and sharpens each with a
+steepest single-swap ascent; it is a lower bound on the exact value and
+reproducible given its seed.  Each ascent step scores all s * (N - s)
+swaps, in (position, outside index) order with each candidate support
+sorted, and moves to the first strict maximum above the current value;
+restarts step in lockstep groups (:func:`_swap_ascent`).  For delta_s,
+both modes read I - Phi^T Phi from the operator's signed-lag table
 (``operators.LagGram``), so no N x N matrix is held.  Shifting every index
 of a support by the same within-block offset leaves its lag-table block
 unchanged, so the exact tie-break returns a support with an index at
@@ -23,7 +28,7 @@ offset 0.
 
 from dataclasses import dataclass
 from itertools import combinations, islice
-from math import comb
+from math import asin, comb, cos, sqrt
 
 import numpy as np
 
@@ -36,6 +41,20 @@ EXACT = "exact"
 RANDOMIZED = "randomized_lower_bound"
 
 _CHUNK = 4096
+# Supports scored by one lockstep ascent step: a group holds
+# _STEP_SUPPORTS // (s * (N - s)) restarts, at least one.  Larger groups
+# spread the per-call cost over more supports but hold more temporaries
+# per thread.  On mc_rip (N = 64, s = 3: 183 swaps per restart; 3 runs
+# each) groups of 4 read 54 trials/s and groups of 5 58 trials/s, and the
+# fifth restart added 0.2 MB of peak RSS.
+_STEP_SUPPORTS = 768
+# A 3 x 3 block whose closest two eigenvalues are nearer than this times
+# p goes to LAPACK (see _norms_3x3).  At 0.3 the closed form stays within
+# 8.9 eps of the largest entry of a long-double Jacobi reference (LAPACK:
+# 13 eps) over 6e5 blocks; at 0.2 it reached 11.3 eps.
+_NEAR_DOUBLE = 0.3
+_NEAR_R = cos(3 * asin(_NEAR_DOUBLE / (2 * sqrt(3))))
+_THIRD_TURNS = np.array([[0.0], [2 * np.pi / 3]])
 
 
 @dataclass(frozen=True)
@@ -54,12 +73,69 @@ class SNormResult:
 
 
 def _spectral_norms(stack, symmetric):
-    """Spectral norm of each matrix in a (batch, s, s) stack."""
-    if stack.shape[-1] == 1:
+    """Spectral norm of each matrix in a (batch, s, s) stack.
+
+    Symmetric stacks read only their lower triangle.  Symmetric 2 x 2 and
+    3 x 3 blocks use closed forms (:func:`_norms_2x2`, :func:`_norms_3x3`);
+    larger symmetric blocks go to LAPACK ``eigvalsh`` and non-symmetric
+    ones to its SVD.  Every block's value depends on that block alone.
+    """
+    s = stack.shape[-1]
+    if s == 1:
         return np.abs(stack[..., 0, 0])
-    if symmetric:
-        return np.max(np.abs(np.linalg.eigvalsh(stack)), axis=-1)
-    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    if not symmetric:
+        return np.linalg.svd(stack, compute_uv=False)[..., 0]
+    if s == 2:
+        return _norms_2x2(stack)
+    if s == 3:
+        return _norms_3x3(stack)
+    return np.max(np.abs(np.linalg.eigvalsh(stack)), axis=-1)
+
+
+def _scaled(stack, entries):
+    """Lower-triangle ``entries`` of each block as rows, scaled into [-1, 1].
+
+    Returns (rows, e): each block is multiplied by 2**-e, exactly, so that
+    its largest entry lies in [0.5, 1) and no square of an entry that
+    matters over- or underflows; a result times 2**e undoes it.
+    """
+    t = stack.reshape(-1, stack.shape[-1] ** 2).T[entries]
+    _, e = np.frexp(np.maximum(np.max(t, axis=0), -np.min(t, axis=0)))
+    return np.ldexp(t, -e, out=t), e
+
+
+def _norms_2x2(stack):
+    """Eigenvalues (a + d)/2 +- hypot((a - d)/2, b): the norm is |a + d|/2 + hypot."""
+    (a, d, b), e = _scaled(stack, [0, 3, 2])
+    return np.ldexp(np.abs(a + d) / 2 + np.hypot((a - d) / 2, b), e)
+
+
+def _norms_3x3(stack):
+    """Trigonometric eigenvalues of symmetric 3 x 3 blocks, LAPACK near a double one.
+
+    With q = tr/3, p = ||A - qI||_F / sqrt(6) and r = det((A - qI) / p) / 2
+    in [-1, 1], the eigenvalues are q + 2p cos((arccos r + 2 pi k) / 3),
+    k = 0, 1, 2; a multiple of I has p = 0 and reads q.  The closest two
+    are 2 sqrt(3) p sin(min(phi, pi/3 - phi)) apart, phi = arccos(r) / 3.
+    Near a double eigenvalue the arccos loses half the digits (8e7 eps on
+    qI + rank-1), so a block whose closest two eigenvalues lie within
+    _NEAR_DOUBLE * p of each other, |r| > _NEAR_R, goes to LAPACK.
+    """
+    t, e = _scaled(stack, [0, 4, 8, 3, 6, 7])  # rows: diagonal, then (1,0), (2,0), (2,1)
+    q = (t[0] + t[1] + t[2]) / 3
+    t[:3] -= q
+    x, y, z, b, c, g = t
+    p = np.sqrt((x * x + y * y + z * z + 2 * (b * b + c * c + g * g)) / 6)
+    x, y, z, b, c, g = np.divide(t, p + (p == 0), out=t)
+    r = (x * y * z - x * g * g - y * c * c - z * b * b) / 2 + b * c * g
+    del t, x, y, z, b, c, g  # free the rows before the (2, B) stage
+    phi = np.arccos(np.minimum(np.maximum(r, -1.0), 1.0)) / 3
+    hi, lo = 2 * p * np.cos(phi + _THIRD_TURNS)
+    out = np.ldexp(np.maximum(np.abs(q + hi), np.abs(q + lo)), e)
+    near = np.flatnonzero(np.abs(r) > _NEAR_R)
+    if near.size:
+        out[near] = np.max(np.abs(np.linalg.eigvalsh(stack[near])), axis=-1)
+    return out
 
 
 def _check_args(n, s):
@@ -74,7 +150,10 @@ def _dense(a):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"need a square matrix, got shape {a.shape}")
-    symmetric = np.array_equal(a, a.T) or np.allclose(a, a.T, rtol=0.0, atol=1e-12)
+    if not np.all(np.isfinite(a)):
+        raise ParameterError("matrix entries must be finite")
+    # symmetric to 1e-12 of its largest entry, so the test does not depend on scale
+    symmetric = np.max(np.abs(a - a.T), initial=0.0) <= 1e-12 * np.max(np.abs(a), initial=0.0)
     return (lambda idx: a[idx[..., :, None], idx[..., None, :]]), a.shape[0], symmetric
 
 
@@ -104,38 +183,70 @@ def snorm_exact(a, s):
 
 
 def _swap_ascent(blocks, size, symmetric, s, trials, seed, swap_cap_factor=5):
-    """snorm_randomized over ``blocks``: supports (B, s) -> blocks (B, s, s)."""
+    """snorm_randomized over ``blocks``: supports (B, s) -> blocks (B, s, s).
+
+    Restarts run in groups of _STEP_SUPPORTS // (s * (N - s)); a group's
+    live restarts take each ascent step in lockstep, with one ``blocks``
+    call and one kernel call for all their candidates (the first step's
+    call also scores the starting supports).  A step scores a
+    restart's s * (N - s) swaps, so live restarts have made equal numbers
+    of evaluations and the cap cuts them at the same step.  Each restart
+    keeps its own candidate order and first strict maximum, and the first
+    best restart wins, so the result is that of one restart at a time.
+    """
     _check_args(size, s)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    pos = np.arange(s)
+    cap = swap_cap_factor * s * size
+    group = max(1, _STEP_SUPPORTS // max(1, s * (size - s)))
     best_value = -1.0
     best_support = None
-    cap = swap_cap_factor * s * size
-    for trial in range(trials):
-        support = rng.rand_support(rng.derive_seed(seed, trial), size, s)
-        current = float(_spectral_norms(blocks(support[None, :]), symmetric)[0])
-        evals = 0
-        while evals < cap:
-            outside = np.delete(np.arange(size), support)
-            # cands[q, t] swaps support[q] for outside[t]
-            cands = np.repeat(support[None, None, :], s, axis=0).repeat(outside.size, axis=1)
-            cands[pos, :, pos] = outside
-            cands = np.sort(cands.reshape(-1, s), axis=1)[: cap - evals]
-            if not len(cands):
+    for first in range(0, trials, group):
+        support = np.array([
+            rng.rand_support(rng.derive_seed(seed, trial), size, s)
+            for trial in range(first, min(first + group, trials))
+        ])
+        live = np.arange(len(support))
+        cands = _swaps(support, size)[:, :cap]
+        evals = cands.shape[1]
+        current, values = np.split(_spectral_norms(
+            blocks(np.concatenate((support, cands.reshape(-1, s)))), symmetric), [len(support)])
+        while cands.shape[1]:
+            values = values.reshape(cands.shape[:2])
+            top = np.argmax(values, axis=1)
+            top_values = values[np.arange(live.size), top]
+            gain = top_values > current[live]
+            live = live[gain]
+            support[live] = cands[gain, top[gain]]
+            current[live] = top_values[gain]
+            if not live.size or evals == cap:
                 break
-            evals += len(cands)
-            values = _spectral_norms(blocks(cands), symmetric)
-            top = int(np.argmax(values))
-            if not values[top] > current:
-                break
-            support, current = cands[top], float(values[top])
-        if current > best_value:
-            best_value = current
-            best_support = tuple(int(i) for i in support)
+            cands = _swaps(support[live], size)[:, : cap - evals]
+            evals += cands.shape[1]
+            values = _spectral_norms(blocks(cands.reshape(-1, s)), symmetric)
+        winner = int(np.argmax(current))
+        if current[winner] > best_value:
+            best_value = float(current[winner])
+            best_support = tuple(int(i) for i in support[winner])
     return SNormResult(
         s=s, value=best_value, mode=RANDOMIZED, argmax_support=best_support, trials=trials
     )
+
+
+def _swaps(support, size):
+    """(R, s * (N - s), s) single swaps of each sorted support in (R, s).
+
+    Candidate q * (N - s) + t swaps position q for the t-th index outside
+    the support (ascending), and each candidate is sorted.
+    """
+    r, s = support.shape
+    outside = np.ones((r, size), dtype=bool)
+    outside[np.arange(r)[:, None], support] = False
+    outside = np.nonzero(outside)[1].reshape(r, size - s)
+    cands = np.repeat(support[:, None, None, :], s, axis=1).repeat(size - s, axis=2)
+    pos = np.arange(s)
+    cands[:, pos, :, pos] = outside
+    return np.sort(cands, axis=-1).reshape(r, s * (size - s), s)
 
 
 def snorm_randomized(a, s, trials, seed, swap_cap_factor=5):

@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from sparsep.errors import ParameterError
+from sparsep.errors import DataError, ParameterError
 from sparsep.experiments import (
     ExperimentConfig,
     _aggregate,
     _point_summary,
+    complete_points,
     grid_points,
     replay_trial,
     run_experiment,
@@ -121,6 +122,36 @@ class TestReproducibility:
             assert dataclasses.replace(again, wall_time=0.0) == dataclasses.replace(
                 row, wall_time=0.0
             )
+
+    def test_reuse_runs_only_missing_trials(self):
+        cfg = phase_cfg(m_grid=(8, 12), trials=2)
+        full = run_experiment(cfg)
+        kept = [r for r in full.trials if r.grid_index == 1] + [full.trials[0]]
+        assert complete_points(cfg, kept) == {1}
+        again = run_experiment(cfg, reuse=kept)
+        assert again.trials[0] is full.trials[0] and again.trials[2:] == full.trials[2:]
+        assert strip_times(again) == strip_times(full)
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(grid_index=7), r"\(7, 0\) is outside"),
+        (dict(grid_index=-1), r"\(-1, 0\) is outside"),
+        (dict(trial_index=2), r"\(0, 2\) is outside"),
+        (dict(), r"\(0, 0\) appears twice"),
+        (dict(m=12), r"\(0, 0\) does not match"),
+        (dict(epsilon=0.5), r"\(0, 0\) does not match"),
+        (dict(seed=0), r"\(0, 0\) does not match"),
+    ], ids=["grid_outside", "grid_negative", "trial_outside", "duplicate_trial", "other_m",
+            "other_epsilon", "other_seed"])
+    def test_reuse_rejects_rows_that_are_not_trials_of_the_config(self, change, message):
+        # one grid point x 2 trials: the reused rows are trial (0, 1), then a
+        # changed copy of trial (0, 0), then trial (0, 0) itself
+        cfg = phase_cfg(trials=2)
+        first, second = run_experiment(cfg).trials
+        bad = [second, dataclasses.replace(first, **change), first]
+        with pytest.raises(DataError, match=message):
+            complete_points(cfg, bad)
+        with pytest.raises(DataError, match=message):
+            run_experiment(cfg, reuse=bad)
 
     def test_seed_changes_results(self):
         a = run_experiment(phase_cfg(base_seed=1))

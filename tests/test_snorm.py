@@ -1,10 +1,13 @@
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from sparsep import rng, snorm
 from sparsep.errors import BudgetError, DimensionError, ParameterError
 from sparsep.operators import (
     LagGram,
@@ -14,10 +17,18 @@ from sparsep.operators import (
     linear_operator,
 )
 from sparsep.probes import ProblemDims, generate_probes
-from sparsep.snorm import EXACT, RANDOMIZED, rip_delta, snorm_exact, snorm_randomized
+from sparsep.snorm import (
+    EXACT,
+    RANDOMIZED,
+    _spectral_norms,
+    rip_delta,
+    snorm_exact,
+    snorm_randomized,
+)
 
 # Golden regression value for rip_delta at (n=4, m=16, p=2, s=2), seed 42.
 GOLDEN_DELTA = 0.47244239460441445
+EPS = np.finfo(float).eps
 
 
 def brute_force_snorm(a, s):
@@ -89,6 +100,51 @@ def test_budget_error_no_silent_downgrade(monkeypatch):
     a = np.eye(30)
     with pytest.raises(BudgetError):
         snorm_exact(a, 15)
+
+
+def test_symmetry_test_is_relative_to_the_largest_entry():
+    # with an absolute 1e-12 tolerance this matrix passed as symmetric, and
+    # eigvalsh read only its zero lower triangle: 0.0 instead of 1e-13
+    a = np.zeros((3, 3))
+    a[0, 1] = 1e-13
+    assert snorm_exact(a, 2).value == pytest.approx(1e-13, rel=1e-12, abs=0)
+    assert snorm_exact(a * 1e13, 2).value == pytest.approx(1.0, rel=1e-12, abs=0)
+
+
+def test_non_finite_entries_rejected():
+    a = np.eye(3)
+    a[1, 2] = np.nan
+    with pytest.raises(ParameterError, match="finite"):
+        snorm_exact(a, 2)
+    a[1, 2] = np.inf
+    with pytest.raises(ParameterError, match="finite"):
+        snorm_randomized(a, 2, trials=1, seed=0)
+
+
+@st.composite
+def scalable_matrices(draw):
+    """Square matrices of moderate entries: symmetric, strictly triangular or general."""
+    n = draw(st.integers(1, 6))
+    entries = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+    a = draw(arrays(np.float64, (n, n), elements=entries))
+    shape = draw(st.sampled_from(["symmetric", "lower", "upper", "general"]))
+    if shape == "symmetric":
+        a = lower_symmetric(a)
+    elif shape == "lower":
+        a = np.tril(a, -1)
+    elif shape == "upper":
+        a = np.triu(a, 1)
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=scalable_matrices(), exponent=st.floats(-100.0, 100.0), data=st.data())
+def test_exact_snorm_scales_with_the_matrix(a, exponent, data):
+    # ||c A||_s = c ||A||_s: the symmetry test and the kernels see no scale
+    s = data.draw(st.integers(1, a.shape[0]))
+    c = 10.0**exponent
+    expected = c * snorm_exact(a, s).value
+    assert snorm_exact(c * a, s).value == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_dimension_checks():
@@ -273,3 +329,168 @@ def test_exact_tie_break_is_first_lexicographic_support():
     assert res.argmax_support == (0, 1)
     res3 = snorm_exact(np.eye(6), 3)
     assert res3.argmax_support == (0, 1, 2)
+
+
+def lower_symmetric(stack):
+    """The symmetric matrices whose lower triangles ``stack`` holds."""
+    lower = np.tril(stack)
+    return lower + np.swapaxes(np.tril(lower, -1), -1, -2)
+
+
+@st.composite
+def block_stacks(draw):
+    """(A, k): a (B, s, s) stack, s in {2, 3}, of unit-scale blocks and exponents k.
+
+    Families: random symmetric, diagonal, qI, qI + rank-1 (a double
+    eigenvalue) and zero.  The caller scales block i by 2**k[i], exactly,
+    to magnitudes from about 1e-307 to 1e301, where a square of an entry
+    over- or underflows unless the kernel scales it back.
+    """
+    s = draw(st.sampled_from([2, 3]))
+    unit = st.one_of(st.just(0.0), st.floats(2.0**-20, 1.0), st.floats(-1.0, -(2.0**-20)))
+    vector = arrays(np.float64, s, elements=unit)
+    blocks = []
+    for _ in range(draw(st.integers(1, 6))):
+        family = draw(st.sampled_from(["random", "diagonal", "qI", "qI+rank1", "zero"]))
+        if family == "random":
+            block = lower_symmetric(draw(arrays(np.float64, (s, s), elements=unit)))
+        elif family == "diagonal":
+            block = np.diag(draw(vector))
+        elif family == "qI":
+            block = draw(unit) * np.eye(s)
+        elif family == "qI+rank1":
+            u = draw(vector)
+            block = lower_symmetric(draw(unit) * np.eye(s) + draw(unit) * np.outer(u, u))
+        else:
+            block = np.zeros((s, s))
+        blocks.append(block)
+    exponents = draw(arrays(np.int64, len(blocks), elements=st.integers(-1000, 1000)))
+    return np.array(blocks), exponents
+
+
+class TestKernel:
+    """The closed forms of symmetric 2 x 2 and 3 x 3 blocks against LAPACK.
+
+    The tolerance is 8 eps ||block||_F: LAPACK's own error reaches 13.1 eps
+    times the largest entry (7.0 eps ||block||_F) against a long-double
+    Jacobi reference over 6e5 Gaussian 3 x 3 blocks, so a tolerance in the
+    largest entry would test LAPACK's rounding, not the closed forms.  The
+    reference comes from the unit-scale blocks, because LAPACK can miss by
+    10% on blocks with entries near 1e135 (test below).
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocks=block_stacks(), nearly_symmetric=st.booleans())
+    def test_matches_eigvalsh(self, blocks, nearly_symmetric):
+        unit, exponents = blocks
+        expected = np.ldexp(np.max(np.abs(np.linalg.eigvalsh(unit)), axis=-1), exponents)
+        tol = np.ldexp(8 * EPS * np.linalg.norm(unit, axis=(-2, -1)), exponents)
+        stack = np.ldexp(unit, exponents[:, None, None])
+        if nearly_symmetric:
+            # only the lower triangle counts, as in eigvalsh
+            stack = stack + np.triu(stack, 1) * 1e-9
+        got = _spectral_norms(stack, True)
+        assert np.all(np.abs(got - expected) <= tol)
+
+    def test_double_eigenvalues(self):
+        # qI + rank-1 has a double eigenvalue; the trigonometric form alone
+        # misses it by up to 8e7 eps (arccos near +-1), LAPACK does not
+        g = np.random.default_rng(5)
+        u = g.standard_normal((50, 3))
+        stack = (g.standard_normal((50, 1, 1)) * np.eye(3)
+                 + g.standard_normal((50, 1, 1)) * u[:, :, None] * u[:, None, :])
+        expected = np.max(np.abs(np.linalg.eigvalsh(stack)), axis=-1)
+        tol = 8 * EPS * np.linalg.norm(stack, axis=(-2, -1))
+        assert np.all(np.abs(_spectral_norms(stack, True) - expected) <= tol)
+
+    def test_multiples_of_the_identity_are_exact(self):
+        for s in (2, 3):
+            stack = np.array([q * np.eye(s) for q in (0.0, -0.1, 3.0, 1e-300, -1e300)])
+            assert np.array_equal(_spectral_norms(stack, True), np.abs(stack[:, 0, 0]))
+
+    def test_large_block_with_tiny_entries(self):
+        # the true norm is |a[0, 2]| to double precision; eigvalsh returns 8.571e135
+        a = np.array([[-1.90513350e-26, -4.69869733e-131, -7.74604484e135],
+                      [-4.69869733e-131, 6.82692624e-94, 2.10862039e-58],
+                      [-7.74604484e135, 2.10862039e-58, -5.65333636e-146]])
+        got = _spectral_norms(a[None], True)[0]
+        assert got == pytest.approx(7.74604484e135, rel=8 * EPS, abs=0)
+
+    def test_value_depends_on_the_block_alone(self):
+        # exact and randomized mode score a support alike in any batch
+        g = np.random.default_rng(4)
+        for s in (2, 3, 4):
+            stack = lower_symmetric(g.standard_normal((300, s, s)))
+            stack[::7] = 0.5 * np.eye(s) + 0.25  # double eigenvalues: LAPACK
+            whole = _spectral_norms(stack, True)
+            alone = np.array([_spectral_norms(b[None], True)[0] for b in stack])
+            assert np.array_equal(whole, alone)
+
+
+def one_restart_at_a_time(a, s, trials, seed, swap_cap_factor):
+    """The swap ascent as a loop over restarts and over candidates (reference)."""
+    size = a.shape[0]
+    def norms(supports):
+        idx = np.array(supports).reshape(-1, s)
+        return _spectral_norms(a[idx[:, :, None], idx[:, None, :]], True)
+    cap = swap_cap_factor * s * size
+    best_value, best_support = -1.0, None
+    for trial in range(trials):
+        support = tuple(rng.rand_support(rng.derive_seed(seed, trial), size, s))
+        current = norms([support])[0]
+        evals = 0
+        while evals < cap:
+            outside = [i for i in range(size) if i not in support]
+            cands = [tuple(sorted(support[:q] + (i,) + support[q + 1:]))
+                     for q in range(s) for i in outside][: cap - evals]
+            if not cands:
+                break
+            evals += len(cands)
+            values = norms(cands)
+            top = int(np.argmax(values))
+            if not values[top] > current:
+                break
+            support, current = cands[top], values[top]
+        if current > best_value:
+            best_value, best_support = float(current), tuple(int(i) for i in support)
+    return best_value, best_support
+
+
+class TestLockstep:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 20),
+        data=st.data(),
+        trials=st.integers(1, 9),
+        seed=st.integers(0, 2**32),
+        cap=st.sampled_from([1, 5]),
+        budget=st.sampled_from([1, 40, 1024]),
+    )
+    def test_equals_one_restart_at_a_time(self, n, data, trials, seed, cap, budget):
+        # small entry alphabets make ties; budgets of 1 and 40 split the
+        # restarts into groups of one and of a few
+        s = data.draw(st.integers(1, min(5, n)))
+        entries = st.sampled_from([0.0, 0.5, -1.0, 2.0]) | st.floats(-1.0, 1.0)
+        a = lower_symmetric(data.draw(arrays(np.float64, (n, n), elements=entries)))
+        with mock.patch.object(snorm, "_STEP_SUPPORTS", budget):
+            res = snorm_randomized(a, s, trials=trials, seed=seed, swap_cap_factor=cap)
+        value, support = one_restart_at_a_time(a, s, trials, seed, cap)
+        assert res.value == value
+        assert res.argmax_support == support
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        extra=st.integers(0, 10),
+        p=st.integers(1, 3),
+        s=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+        trials=st.integers(1, 8),
+    )
+    def test_randomized_rip_delta_never_exceeds_exact(self, n, extra, p, s, seed, trials):
+        # both modes score a support with the same kernel, so the bound is exact
+        assume(s <= n * p)
+        probes = generate_probes(ProblemDims(n, n + extra, p), seed)
+        exact = rip_delta(probes, s)
+        rnd = rip_delta(probes, s, mode=RANDOMIZED, trials=trials, seed=seed)
+        assert rnd.value <= exact.value
