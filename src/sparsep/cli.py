@@ -16,7 +16,7 @@ import click
 import numpy as np
 
 from . import __version__, fileio, rng
-from .errors import DataError, ParameterError, SparsepError
+from .errors import ParameterError, SparsepError
 from .experiments import NUMERICS, complete_points, grid_points, run_experiment
 from .operators import MeasurementOperator
 from .probes import ProblemDims, generate_probes
@@ -205,10 +205,7 @@ def experiment(config_path, out_dir, threads, resume):
                 f"--resume: existing trials were computed with numerics "
                 f"{manifest.get('numerics')!r}, not {NUMERICS!r}; run without --resume")
         previous = fileio.read_trials_csv(trials_path)
-        try:
-            complete = complete_points(cfg, previous)
-        except DataError as exc:
-            raise DataError(f"{trials_path}: {exc}") from exc
+        complete = complete_points(cfg, previous, source=trials_path)
         reuse = [r for r in previous if r.grid_index in complete]
         click.echo(f"resume: reusing {len(complete)} complete grid points")
 

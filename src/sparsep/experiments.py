@@ -59,7 +59,7 @@ KINDS = tuple(_UNREAD)
 # Change it with any change that moves trial bits, so that ``--resume``
 # never mixes rows of two versions.
 NUMERICS = ("rfft-kernel/fista-az-by-linearity/lanczos-norm/lag-gram-delta/dense-below-2**17"
-            "/circulant-column-spectra/closed-form-snorm-2x2-3x3")
+            "/circulant-column-spectra/closed-form-snorm-3x3")
 METHODS = ("bpdn", "iht", "oracle")
 _GRIDS = ("n_grid", "m_grid", "p_grid", "s_grid", "epsilon_grid")
 
@@ -462,27 +462,29 @@ def _trial_fn(kind):
     return _recovery_trial
 
 
-def complete_points(cfg, rows):
+def complete_points(cfg, rows, source="reuse"):
     """Grid indices of the points whose every trial ``rows`` hold.
 
-    DataError unless each row is a distinct trial of the config: its
-    (grid_index, trial_index) lies in the grid and appears once, and it
-    carries its grid point's n, m, p, s, epsilon and its trial's seed.
+    DataError, its message led by ``source``, unless each row is a
+    distinct trial of the config: its (grid_index, trial_index) lies in
+    the grid and appears once, and it carries its grid point's n, m, p, s,
+    epsilon and its trial's seed.
     """
     points = grid_points(cfg)
     seen = set()
     for row in rows:
         key = gi, t = row.grid_index, row.trial_index
         if not (0 <= gi < len(points) and 0 <= t < cfg.trials):
-            raise DataError(f"trial {key} is outside the config's "
+            raise DataError(f"{source}: trial {key} is outside the config's "
                             f"{len(points)} grid points x {cfg.trials} trials")
         if key in seen:
-            raise DataError(f"trial {key} appears twice")
+            raise DataError(f"{source}: trial {key} appears twice")
         seen.add(key)
         pt = points[gi]
         if ((row.n, row.m, row.p, row.s, row.epsilon, row.seed)
                 != (pt.n, pt.m, pt.p, pt.s, pt.epsilon, rng.derive_seed(cfg.base_seed, gi, t))):
-            raise DataError(f"trial {key} does not match the config's grid point or seed")
+            raise DataError(f"{source}: trial {key} does not match the config's grid point "
+                            "or seed")
     counts = collections.Counter(gi for gi, _ in seen)
     return {gi for gi, c in counts.items() if c == cfg.trials}
 

@@ -7,13 +7,13 @@ in s, so enumerating supports of size exactly s suffices.
 
 Both modes see A only through ``blocks(idx)``, its principal submatrices
 for a (B, s) batch of supports, and score every block with one kernel,
-:func:`_spectral_norms`: closed forms for symmetric 2 x 2 and 3 x 3
-blocks (LAPACK for a 3 x 3 block near a double eigenvalue), LAPACK
-``eigvalsh`` for larger symmetric blocks and the SVD otherwise.  A block's
-value depends on that block alone, so both modes score a support alike.
-Exact mode enumerates all supports lexicographically (deterministic
-first-found tie-break) and is gated by the enumeration budget
-C(N, s) * s^3.  Randomized mode samples supports and sharpens each with a
+:func:`_spectral_norms`: a closed form for symmetric 3 x 3 blocks
+(LAPACK for one near a double eigenvalue), LAPACK ``eigvalsh`` for other
+symmetric blocks and the SVD otherwise.  A block's value depends on that
+block alone, so both modes score a support alike.  Exact mode
+enumerates all supports lexicographically (deterministic first-found
+tie-break) and is gated by the enumeration budget C(N, s) * s^3.
+Randomized mode samples supports and sharpens each with a
 steepest single-swap ascent; it is a lower bound on the exact value and
 reproducible given its seed.  Each ascent step scores all s * (N - s)
 swaps, in (position, outside index) order with each candidate support
@@ -75,39 +75,19 @@ class SNormResult:
 def _spectral_norms(stack, symmetric):
     """Spectral norm of each matrix in a (batch, s, s) stack.
 
-    Symmetric stacks read only their lower triangle.  Symmetric 2 x 2 and
-    3 x 3 blocks use closed forms (:func:`_norms_2x2`, :func:`_norms_3x3`);
-    larger symmetric blocks go to LAPACK ``eigvalsh`` and non-symmetric
-    ones to its SVD.  Every block's value depends on that block alone.
+    Symmetric stacks read only their lower triangle.  Symmetric 3 x 3
+    blocks use a closed form (:func:`_norms_3x3`), other symmetric blocks
+    LAPACK ``eigvalsh`` and non-symmetric ones its SVD.  Every block's
+    value depends on that block alone.
     """
     s = stack.shape[-1]
     if s == 1:
         return np.abs(stack[..., 0, 0])
     if not symmetric:
         return np.linalg.svd(stack, compute_uv=False)[..., 0]
-    if s == 2:
-        return _norms_2x2(stack)
     if s == 3:
         return _norms_3x3(stack)
     return np.max(np.abs(np.linalg.eigvalsh(stack)), axis=-1)
-
-
-def _scaled(stack, entries):
-    """Lower-triangle ``entries`` of each block as rows, scaled into [-1, 1].
-
-    Returns (rows, e): each block is multiplied by 2**-e, exactly, so that
-    its largest entry lies in [0.5, 1) and no square of an entry that
-    matters over- or underflows; a result times 2**e undoes it.
-    """
-    t = stack.reshape(-1, stack.shape[-1] ** 2).T[entries]
-    _, e = np.frexp(np.maximum(np.max(t, axis=0), -np.min(t, axis=0)))
-    return np.ldexp(t, -e, out=t), e
-
-
-def _norms_2x2(stack):
-    """Eigenvalues (a + d)/2 +- hypot((a - d)/2, b): the norm is |a + d|/2 + hypot."""
-    (a, d, b), e = _scaled(stack, [0, 3, 2])
-    return np.ldexp(np.abs(a + d) / 2 + np.hypot((a - d) / 2, b), e)
 
 
 def _norms_3x3(stack):
@@ -120,8 +100,14 @@ def _norms_3x3(stack):
     Near a double eigenvalue the arccos loses half the digits (8e7 eps on
     qI + rank-1), so a block whose closest two eigenvalues lie within
     _NEAR_DOUBLE * p of each other, |r| > _NEAR_R, goes to LAPACK.
+
+    Each block is first multiplied by 2**-e, exactly, so that its largest
+    entry lies in [0.5, 1) and no square of an entry that matters over- or
+    underflows; the norm times 2**e undoes it.
     """
-    t, e = _scaled(stack, [0, 4, 8, 3, 6, 7])  # rows: diagonal, then (1,0), (2,0), (2,1)
+    t = stack.reshape(-1, 9).T[[0, 4, 8, 3, 6, 7]]  # lower triangle: diagonal, (1,0), (2,0), (2,1)
+    _, e = np.frexp(np.maximum(np.max(t, axis=0), -np.min(t, axis=0)))
+    np.ldexp(t, -e, out=t)
     q = (t[0] + t[1] + t[2]) / 3
     t[:3] -= q
     x, y, z, b, c, g = t

@@ -148,9 +148,9 @@ class TestReproducibility:
         cfg = phase_cfg(trials=2)
         first, second = run_experiment(cfg).trials
         bad = [second, dataclasses.replace(first, **change), first]
-        with pytest.raises(DataError, match=message):
-            complete_points(cfg, bad)
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match="^rows.csv: trial " + message):
+            complete_points(cfg, bad, source="rows.csv")
+        with pytest.raises(DataError, match="^reuse: trial " + message):
             run_experiment(cfg, reuse=bad)
 
     def test_seed_changes_results(self):

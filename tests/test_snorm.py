@@ -339,14 +339,14 @@ def lower_symmetric(stack):
 
 @st.composite
 def block_stacks(draw):
-    """(A, k): a (B, s, s) stack, s in {2, 3}, of unit-scale blocks and exponents k.
+    """(A, k): a (B, 3, 3) stack of unit-scale blocks and exponents k.
 
     Families: random symmetric, diagonal, qI, qI + rank-1 (a double
     eigenvalue) and zero.  The caller scales block i by 2**k[i], exactly,
     to magnitudes from about 1e-307 to 1e301, where a square of an entry
     over- or underflows unless the kernel scales it back.
     """
-    s = draw(st.sampled_from([2, 3]))
+    s = 3
     unit = st.one_of(st.just(0.0), st.floats(2.0**-20, 1.0), st.floats(-1.0, -(2.0**-20)))
     vector = arrays(np.float64, s, elements=unit)
     blocks = []
@@ -369,12 +369,12 @@ def block_stacks(draw):
 
 
 class TestKernel:
-    """The closed forms of symmetric 2 x 2 and 3 x 3 blocks against LAPACK.
+    """The closed form of symmetric 3 x 3 blocks against LAPACK.
 
     The tolerance is 8 eps ||block||_F: LAPACK's own error reaches 13.1 eps
     times the largest entry (7.0 eps ||block||_F) against a long-double
     Jacobi reference over 6e5 Gaussian 3 x 3 blocks, so a tolerance in the
-    largest entry would test LAPACK's rounding, not the closed forms.  The
+    largest entry would test LAPACK's rounding, not the closed form.  The
     reference comes from the unit-scale blocks, because LAPACK can miss by
     10% on blocks with entries near 1e135 (test below).
     """
@@ -404,9 +404,8 @@ class TestKernel:
         assert np.all(np.abs(_spectral_norms(stack, True) - expected) <= tol)
 
     def test_multiples_of_the_identity_are_exact(self):
-        for s in (2, 3):
-            stack = np.array([q * np.eye(s) for q in (0.0, -0.1, 3.0, 1e-300, -1e300)])
-            assert np.array_equal(_spectral_norms(stack, True), np.abs(stack[:, 0, 0]))
+        stack = np.array([q * np.eye(3) for q in (0.0, -0.1, 3.0, 1e-300, -1e300)])
+        assert np.array_equal(_spectral_norms(stack, True), np.abs(stack[:, 0, 0]))
 
     def test_large_block_with_tiny_entries(self):
         # the true norm is |a[0, 2]| to double precision; eigvalsh returns 8.571e135
@@ -419,7 +418,7 @@ class TestKernel:
     def test_value_depends_on_the_block_alone(self):
         # exact and randomized mode score a support alike in any batch
         g = np.random.default_rng(4)
-        for s in (2, 3, 4):
+        for s in (3, 4):
             stack = lower_symmetric(g.standard_normal((300, s, s)))
             stack[::7] = 0.5 * np.eye(s) + 0.25  # double eigenvalues: LAPACK
             whole = _spectral_norms(stack, True)
