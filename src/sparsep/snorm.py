@@ -9,16 +9,21 @@ Both modes see A only through ``blocks(idx)``, its principal submatrices
 for a (B, s) batch of supports, and score every block with one kernel,
 :func:`_spectral_norms`: a closed form for symmetric 3 x 3 blocks
 (LAPACK for one near a double eigenvalue), LAPACK ``eigvalsh`` for other
-symmetric blocks and the SVD otherwise.  A block's value depends on that
-block alone, so both modes score a support alike.  Exact mode
-enumerates all supports lexicographically (deterministic first-found
+symmetric blocks and the SVD otherwise, each LAPACK block scaled by an
+exact power of two.  A block's value depends on that block alone, so
+both modes score a support alike, and a batch of any size gives the same
+values.  Each ``blocks`` call, and the kernel call that scores it, holds
+at most _BLOCK_ENTRIES entries B * s^2, or one restart's first ascent
+step where that is larger.  Exact mode enumerates all supports
+lexicographically in chunks of that size (deterministic first-found
 tie-break) and is gated by the enumeration budget C(N, s) * s^3.
 Randomized mode samples supports and sharpens each with a
 steepest single-swap ascent; it is a lower bound on the exact value and
 reproducible given its seed.  Each ascent step scores all s * (N - s)
 swaps, in (position, outside index) order with each candidate support
 sorted, and moves to the first strict maximum above the current value;
-restarts step in lockstep groups (:func:`_swap_ascent`).  For delta_s,
+restarts step in lockstep groups of as many as the bound holds
+(:func:`_swap_ascent`).  For delta_s,
 both modes read I - Phi^T Phi from the operator's signed-lag table
 (``operators.LagGram``), so no N x N matrix is held.  Shifting every index
 of a support by the same within-block offset leaves its lag-table block
@@ -27,7 +32,7 @@ offset 0.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import asin, comb, cos, sqrt
 
 import numpy as np
@@ -40,14 +45,23 @@ from .operators import build_dense_folded  # noqa: F401  perfbench/tracer.py wra
 EXACT = "exact"
 RANDOMIZED = "randomized_lower_bound"
 
-_CHUNK = 4096
-# Supports scored by one lockstep ascent step: a group holds
-# _STEP_SUPPORTS // (s * (N - s)) restarts, at least one.  Larger groups
-# spread the per-call cost over more supports but hold more temporaries
-# per thread.  On mc_rip (N = 64, s = 3: 183 swaps per restart; 3 runs
-# each) groups of 4 read 54 trials/s and groups of 5 58 trials/s, and the
-# fifth restart added 0.2 MB of peak RSS.
-_STEP_SUPPORTS = 768
+# Block entries, B * s**2 for B supports of size s, that one ``blocks``
+# call and the kernel call scoring it may hold, unless one restart's
+# first ascent step needs more.  Exact mode enumerates in chunks of this
+# many entries; randomized mode steps as many restarts in lockstep as fit,
+# at least one.  Fewer, larger calls spread the per-call cost over more
+# supports but hold more temporaries per thread (a traced peak of 1.15 MB
+# per call at 2**16 and s = 3).  On mc_rip (N = 64, s = 3: 1656 entries
+# per restart, 32 restarts per rip_delta; perfbench/run.py --seed 1, 30 s
+# runs on 2 vCPUs, trials/s; two runs each, or the median and quartiles
+# of ten):
+#
+#   bound          groups    1 thread     2 threads     peak RSS (MB)
+#   768 supports   8 of 4    71 (68-76)   40 (38-40)    84.1 (83.9-84.3)
+#   2**15          19 + 13   78, 93       66, 74        85.7, 86.0
+#   3 * 2**14      29 + 3    89, 97       80, 84        86.3, 87.4
+#   2**16          32        89 (81-92)   99 (91-104)   86.6 (86.4-86.9)
+_BLOCK_ENTRIES = 2**16
 # A 3 x 3 block whose closest two eigenvalues are nearer than this times
 # p goes to LAPACK (see _norms_3x3).  At 0.3 the closed form stays within
 # 8.9 eps of the largest entry of a long-double Jacobi reference (LAPACK:
@@ -76,18 +90,41 @@ def _spectral_norms(stack, symmetric):
     """Spectral norm of each matrix in a (batch, s, s) stack.
 
     Symmetric stacks read only their lower triangle.  Symmetric 3 x 3
-    blocks use a closed form (:func:`_norms_3x3`), other symmetric blocks
-    LAPACK ``eigvalsh`` and non-symmetric ones its SVD.  Every block's
-    value depends on that block alone.
+    blocks use a closed form (:func:`_norms_3x3`), other blocks LAPACK
+    (:func:`_lapack_norms`).  Every block's value depends on that block
+    alone.
     """
     s = stack.shape[-1]
     if s == 1:
         return np.abs(stack[..., 0, 0])
-    if not symmetric:
-        return np.linalg.svd(stack, compute_uv=False)[..., 0]
-    if s == 3:
+    if symmetric and s == 3:
         return _norms_3x3(stack)
-    return np.max(np.abs(np.linalg.eigvalsh(stack)), axis=-1)
+    return _lapack_norms(stack, symmetric)
+
+
+def _exponents(high, low):
+    """Per block, the e that scales its entries, which lie in [low, high], to unit size.
+
+    Multiplying by 2**-e is exact and puts the largest magnitude in
+    [0.5, 1), so no square of an entry that matters over- or underflows.
+    """
+    return np.frexp(np.maximum(high, -low))[1]
+
+
+def _lapack_norms(stack, symmetric):
+    """LAPACK ``eigvalsh`` (symmetric) or SVD norms of blocks scaled to unit size.
+
+    Each block is multiplied by 2**-e (:func:`_exponents`) and its norm by
+    2**e.  Unscaled, ``eigvalsh`` misses by 10% on a block with entries
+    near 1e135 and others below 1e-130 (TestKernel).
+    """
+    e = _exponents(stack.max(axis=(-2, -1)), stack.min(axis=(-2, -1)))
+    scaled = np.ldexp(stack, -e[..., None, None])
+    if symmetric:
+        norms = np.max(np.abs(np.linalg.eigvalsh(scaled)), axis=-1)
+    else:
+        norms = np.linalg.svd(scaled, compute_uv=False)[..., 0]
+    return np.ldexp(norms, e)
 
 
 def _norms_3x3(stack):
@@ -101,12 +138,11 @@ def _norms_3x3(stack):
     qI + rank-1), so a block whose closest two eigenvalues lie within
     _NEAR_DOUBLE * p of each other, |r| > _NEAR_R, goes to LAPACK.
 
-    Each block is first multiplied by 2**-e, exactly, so that its largest
-    entry lies in [0.5, 1) and no square of an entry that matters over- or
-    underflows; the norm times 2**e undoes it.
+    Each block is first scaled to unit size, as for LAPACK (its lower
+    triangle by 2**-e, :func:`_exponents`); the norm times 2**e undoes it.
     """
     t = stack.reshape(-1, 9).T[[0, 4, 8, 3, 6, 7]]  # lower triangle: diagonal, (1,0), (2,0), (2,1)
-    _, e = np.frexp(np.maximum(np.max(t, axis=0), -np.min(t, axis=0)))
+    e = _exponents(np.max(t, axis=0), np.min(t, axis=0))
     np.ldexp(t, -e, out=t)
     q = (t[0] + t[1] + t[2]) / 3
     t[:3] -= q
@@ -120,7 +156,7 @@ def _norms_3x3(stack):
     out = np.ldexp(np.maximum(np.abs(q + hi), np.abs(q + lo)), e)
     near = np.flatnonzero(np.abs(r) > _NEAR_R)
     if near.size:
-        out[near] = np.max(np.abs(np.linalg.eigvalsh(stack[near])), axis=-1)
+        out[near] = _lapack_norms(stack[near], True)
     return out
 
 
@@ -149,13 +185,18 @@ def _enumerate(blocks, size, symmetric, s):
     budgets.check_enum(comb(size, s) * s**3, "exact s-norm")
     best_value = -1.0
     best_support = None
-    supports = combinations(range(size), s)
-    while chunk := list(islice(supports, _CHUNK)):
-        values = _spectral_norms(blocks(np.asarray(chunk)), symmetric)
+    # the supports stream into one index array per chunk, with no list of
+    # tuples besides the blocks
+    indices = chain.from_iterable(combinations(range(size), s))
+    per_chunk = max(1, _BLOCK_ENTRIES // s**2) * s
+    while (chunk := np.fromiter(islice(indices, per_chunk), dtype=np.intp)).size:
+        chunk = chunk.reshape(-1, s)
+        values = _spectral_norms(blocks(chunk), symmetric)
         local = int(np.argmax(values))
         if values[local] > best_value:
-            best_value, best_support = float(values[local]), chunk[local]
-    return SNormResult(s=s, value=best_value, mode=EXACT, argmax_support=tuple(best_support))
+            best_value = float(values[local])
+            best_support = tuple(int(i) for i in chunk[local])
+    return SNormResult(s=s, value=best_value, mode=EXACT, argmax_support=best_support)
 
 
 def snorm_exact(a, s):
@@ -171,20 +212,22 @@ def snorm_exact(a, s):
 def _swap_ascent(blocks, size, symmetric, s, trials, seed, swap_cap_factor=5):
     """snorm_randomized over ``blocks``: supports (B, s) -> blocks (B, s, s).
 
-    Restarts run in groups of _STEP_SUPPORTS // (s * (N - s)); a group's
-    live restarts take each ascent step in lockstep, with one ``blocks``
-    call and one kernel call for all their candidates (the first step's
-    call also scores the starting supports).  A step scores a
-    restart's s * (N - s) swaps, so live restarts have made equal numbers
-    of evaluations and the cap cuts them at the same step.  Each restart
-    keeps its own candidate order and first strict maximum, and the first
-    best restart wins, so the result is that of one restart at a time.
+    Restarts run in groups of as many as fit in _BLOCK_ENTRIES, counting
+    a restart's s * (N - s) swaps and its starting support, at least one;
+    a group's live restarts take each ascent step in lockstep, with one
+    ``blocks`` call and one kernel call for all their candidates (the
+    first step's call also scores the starting supports).  A step scores
+    a restart's s * (N - s) swaps, so live restarts have made equal
+    numbers of evaluations and the cap cuts them at the same step.  Each
+    restart keeps its own candidate order and first strict maximum, and
+    the first best restart wins, so the result is that of one restart at
+    a time.
     """
     _check_args(size, s)
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     cap = swap_cap_factor * s * size
-    group = max(1, _STEP_SUPPORTS // max(1, s * (size - s)))
+    group = max(1, _BLOCK_ENTRIES // ((s * (size - s) + 1) * s * s))
     best_value = -1.0
     best_support = None
     for first in range(0, trials, group):
@@ -193,10 +236,13 @@ def _swap_ascent(blocks, size, symmetric, s, trials, seed, swap_cap_factor=5):
             for trial in range(first, min(first + group, trials))
         ])
         live = np.arange(len(support))
-        cands = _swaps(support, size)[:, :cap]
+        # the first call scores the starting supports too; cands is a view
+        # of its index array, not a second copy
+        idx = np.concatenate((support, _swaps(support, size)[:, :cap].reshape(-1, s)))
+        cands = idx[len(support):].reshape(len(support), -1, s)
         evals = cands.shape[1]
-        current, values = np.split(_spectral_norms(
-            blocks(np.concatenate((support, cands.reshape(-1, s)))), symmetric), [len(support)])
+        current, values = np.split(_spectral_norms(blocks(idx), symmetric), [len(support)])
+        del idx  # freed with cands when the next step replaces them
         while cands.shape[1]:
             values = values.reshape(cands.shape[:2])
             top = np.argmax(values, axis=1)

@@ -94,11 +94,18 @@ class TestConfig:
 
 class TestReproducibility:
     def test_identical_records_across_runs_and_threads(self):
-        cfg = phase_cfg(trials=6)
-        a = run_experiment(cfg, threads=1)
-        b = run_experiment(cfg, threads=4)
-        assert strip_times(a) == strip_times(b)
-        assert a.aggregates == b.aggregates
+        configs = [
+            phase_cfg(trials=6),
+            # randomized restricted norms: each trial's restarts step in one
+            # lockstep group, and these trials are where a second thread pays
+            phase_cfg(kind="rip_scaling", snorm_mode="randomized_lower_bound", n_grid=(8,),
+                      m_grid=(16, 24), s_grid=(2, 3), trials=3),
+        ]
+        for cfg in configs:
+            a = run_experiment(cfg, threads=1)
+            b = run_experiment(cfg, threads=4)
+            assert strip_times(a) == strip_times(b)
+            assert a.aggregates == b.aggregates
 
     def test_aggregate_matches_per_point_filter(self):
         cfg = phase_cfg(m_grid=(8, 12), s_grid=(1, 2), trials=3)

@@ -408,12 +408,23 @@ class TestKernel:
         assert np.array_equal(_spectral_norms(stack, True), np.abs(stack[:, 0, 0]))
 
     def test_large_block_with_tiny_entries(self):
-        # the true norm is |a[0, 2]| to double precision; eigvalsh returns 8.571e135
+        # eigvalsh returns 8.571e135 on this block and on it padded to 4 x 4
+        # by a zero row and column, and 1.54657e128 on the block near a
+        # double eigenvalue (|r| > _NEAR_R, so LAPACK scores it); the true
+        # norms (60-digit mpmath) are the largest entry and, for the last,
+        # the norm of the leading 2 x 2 block to double precision
         a = np.array([[-1.90513350e-26, -4.69869733e-131, -7.74604484e135],
                       [-4.69869733e-131, 6.82692624e-94, 2.10862039e-58],
                       [-7.74604484e135, 2.10862039e-58, -5.65333636e-146]])
-        got = _spectral_norms(a[None], True)[0]
-        assert got == pytest.approx(7.74604484e135, rel=8 * EPS, abs=0)
+        near_double = np.array([[-1.36539538e-50, -1.55130874e127, 1.36516571e-50],
+                                [-1.55130874e127, -1.53087030e128, 1.67493470e47],
+                                [1.36516571e-50, 1.67493470e47, -1.08227640e-115]])
+        blocks = [(a, 7.74604484e135),
+                  (np.pad(a, ((1, 0), (1, 0))), 7.74604484e135),
+                  (near_double, 1.5464323055156435e128)]
+        for block, norm in blocks:
+            got = _spectral_norms(block[None], True)[0]
+            assert got == pytest.approx(norm, rel=8 * EPS, abs=0)
 
     def test_value_depends_on_the_block_alone(self):
         # exact and randomized mode score a support alike in any batch
@@ -455,6 +466,11 @@ def one_restart_at_a_time(a, s, trials, seed, swap_cap_factor):
     return best_value, best_support
 
 
+def restart_entries(size, s):
+    """Block entries of one restart's first ascent step: its swaps and its start."""
+    return (s * (size - s) + 1) * s * s
+
+
 class TestLockstep:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -463,19 +479,59 @@ class TestLockstep:
         trials=st.integers(1, 9),
         seed=st.integers(0, 2**32),
         cap=st.sampled_from([1, 5]),
-        budget=st.sampled_from([1, 40, 1024]),
+        group=st.sampled_from([1, 2, 3, 9]),
     )
-    def test_equals_one_restart_at_a_time(self, n, data, trials, seed, cap, budget):
-        # small entry alphabets make ties; budgets of 1 and 40 split the
-        # restarts into groups of one and of a few
+    def test_equals_one_restart_at_a_time(self, n, data, trials, seed, cap, group):
+        # small entry alphabets make ties; the bound fits `group` restarts
+        # in one lockstep group: one, a few, or (9 >= trials) all of them
         s = data.draw(st.integers(1, min(5, n)))
         entries = st.sampled_from([0.0, 0.5, -1.0, 2.0]) | st.floats(-1.0, 1.0)
         a = lower_symmetric(data.draw(arrays(np.float64, (n, n), elements=entries)))
-        with mock.patch.object(snorm, "_STEP_SUPPORTS", budget):
+        with mock.patch.object(snorm, "_BLOCK_ENTRIES", group * restart_entries(n, s)):
             res = snorm_randomized(a, s, trials=trials, seed=seed, swap_cap_factor=cap)
         value, support = one_restart_at_a_time(a, s, trials, seed, cap)
         assert res.value == value
         assert res.argmax_support == support
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 9), data=st.data())
+    def test_exact_does_not_depend_on_the_chunk_size(self, n, data):
+        # one support per chunk against the default: the first-found
+        # tie-break compares chunk maxima in enumeration order
+        s = data.draw(st.integers(1, n))
+        entries = st.sampled_from([0.0, 0.5, -1.0, 2.0]) | st.floats(-1.0, 1.0)
+        a = lower_symmetric(data.draw(arrays(np.float64, (n, n), elements=entries)))
+        with mock.patch.object(snorm, "_BLOCK_ENTRIES", 1):
+            one = snorm_exact(a, s)
+        assert snorm_exact(a, s) == one
+
+    @pytest.mark.parametrize("dims, s, trials, modes", [
+        ((16, 64, 4), 3, 32, (EXACT, RANDOMIZED)),  # mc_rip's shape
+        ((64, 256, 8), 8, 3, (RANDOMIZED,)),
+    ], ids=["mc_rip_shape", "paper_scale"])
+    def test_calls_hold_at_most_the_entry_bound(self, monkeypatch, dims, s, trials, modes):
+        # a call holds at most _BLOCK_ENTRIES block entries, or one
+        # restart's first step where that is larger
+        sizes = []
+        original = LagGram.residual_blocks
+
+        def recording(self, idx):
+            out = original(self, idx)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(LagGram, "residual_blocks", recording)
+        probes = generate_probes(ProblemDims(*dims), 7)
+        size = probes.dims.signal_len
+        limit = max(snorm._BLOCK_ENTRIES, restart_entries(size, s))
+        for mode in modes:
+            sizes.clear()
+            rip_delta(probes, s, mode=mode, trials=trials, seed=1)
+            assert 0 < max(sizes) <= limit
+        if restart_entries(size, s) * trials <= snorm._BLOCK_ENTRIES:
+            # every restart steps in one group: the first call scores all
+            # their starting supports and swaps
+            assert sizes[0] == trials * restart_entries(size, s)
 
     @settings(max_examples=40, deadline=None)
     @given(
