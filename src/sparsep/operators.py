@@ -42,6 +42,25 @@ One apply plus one adjoint, in microseconds, best of 7 on a 2-vCPU VM
     folded     262144  (64, 256, 16)   58.2   108.7
     folded    4194304  (256, 1024, 16)  179    2979
 
+An operator of the dense kernel with input_len**2 <= GRAM_KERNEL_ELEMENTS
+(N = input_len <= 128) also holds its Gram ``gram = matrix.T @ matrix``,
+read-only and built on first use; every other operator has ``gram =
+None``.  The solvers step FISTA and IHT through it, z -> (I - mu G) z +
+mu Phi^T y, in place of one apply and one adjoint, and read ||Phi||^2 as
+its largest eigenvalue in place of Lanczos (:mod:`sparsep.solvers`).  The
+bound is the measured crossover, folded operators, best of 15 on a
+2-vCPU VM: FISTA in microseconds per iteration, ||Phi||^2 in
+milliseconds, and building the Gram in milliseconds:
+
+    (n, m, p)       N    FISTA: calls   Gram    norm: Lanczos  eigvalsh   build
+    (8, 12, 4)     32           13.5   10.0            0.42      0.044   0.004
+    (8, 24, 4)     32           12.4    9.6            0.42      0.043   0.004
+    (16, 64, 4)    64           14.5   10.5            1.09      0.17    0.015
+    (16, 32, 8)   128           14.5   12.4            0.66      0.57    0.045
+    (32, 48, 8)   256           17.8   21.2            0.83      2.8     0.22
+    (32, 128, 8)  256           23.5   19.0            2.6       2.6     0.35
+    (64, 256, 8)  512           58.1   79.4            2.9      14.5     2.2
+
 All public vectors are real float64.  The public dense constructions
 (``build_dense_*``) are for tests and diagnostics and are gated by the
 dense element budget.
@@ -58,6 +77,9 @@ from .probes import ProbeSet
 
 # Largest output_len * input_len served by the dense kernel (see the table above).
 DENSE_KERNEL_ELEMENTS = 2**17
+# Largest input_len**2 of a dense-kernel operator that also holds its Gram
+# (see the Gram table above).
+GRAM_KERNEL_ELEMENTS = 2**14
 
 
 class Variant(enum.Enum):
@@ -70,7 +92,8 @@ class MeasurementOperator:
 
     The variant sets ``fft_len`` and the circulant columns ``c``; the half
     spectra and, for operators of at most DENSE_KERNEL_ELEMENTS entries,
-    the matrix that apply/adjoint multiply by come from ``c``.
+    the matrix that apply/adjoint multiply by come from ``c``, and for
+    input_len**2 <= GRAM_KERNEL_ELEMENTS so does the Gram of that matrix.
     apply/adjoint are reentrant and allocate per call; the operator is
     immutable.
     """
@@ -93,9 +116,24 @@ class MeasurementOperator:
             self.c[:, : d.m] = probes.phi
         self.c.setflags(write=False)
         self._g_half = np.fft.rfft(self.c, axis=1)
-        self._matrix = None
+        self._matrix = self._gram = None
         if self.output_len * self.input_len <= DENSE_KERNEL_ELEMENTS:
             self._matrix = _gather_matrix(self)
+
+    @property
+    def gram(self):
+        """Phi^T Phi, read-only, when input_len**2 <= GRAM_KERNEL_ELEMENTS; else None.
+
+        Built from the matrix on first use, so operators that no solver
+        steps (the restricted-norm trials) never pay for it.  Two threads
+        that race here build the same bits.
+        """
+        small = self._matrix is not None and self.input_len**2 <= GRAM_KERNEL_ELEMENTS
+        if self._gram is None and small:
+            gram = self._matrix.T @ self._matrix
+            gram.setflags(write=False)
+            self._gram = gram
+        return self._gram
 
     def apply(self, x):
         """y = Phi x: one matrix-vector product, or one batched rfft over the p blocks."""

@@ -5,18 +5,47 @@
   the fixed step 1/(1.01 ||Phi||^2), with momentum restarts) with
   root-finding on the penalty so the residual lands on the noise budget.
   One continuation loop serves every eps; eps = 0 drives the residual down
-  to feas_tol * ||y|| instead of literal zero.  Each FISTA iteration makes
-  two operator calls, one ``adjoint`` and one ``apply``.
+  to feas_tol * ||y|| instead of literal zero.
 * :func:`solve_iht` -- iterative hard thresholding
-  x <- H_s(x - mu * Phi^T (Phi x - y)) at the fixed step mu = 1/||Phi||^2;
-  each iteration makes one ``adjoint`` and one ``apply``.
-* :func:`operator_norm_sq` -- ||Phi||^2 by Lanczos; it sets the FISTA
-  and IHT steps.
+  x <- H_s(x - mu * Phi^T (Phi x - y)) at the fixed step mu = 1/||Phi||^2.
+* :func:`operator_norm_sq` -- ||Phi||^2, from the held Gram or by
+  Lanczos; it sets the FISTA and IHT steps.
 * :func:`solve_oracle_ls` -- least squares restricted to a known support;
   the information-unbeatable baseline.
 * :func:`reference_bpdn` -- slow, algorithmically independent solution of
   the same constrained program (LP for eps = 0, SQP on the split
   formulation otherwise); used by tests to certify solve_bpdn.
+
+FISTA and IHT both take the gradient step z -> z - mu Phi^T (Phi z - y),
+an affine map M z + c with M = I - mu Phi^T Phi and c = mu Phi^T y.  Each
+solve builds it once (:func:`_step_map`) in one of two forms:
+
+* held Gram -- an operator that holds its Gram ``op.gram`` (a
+  :class:`~sparsep.operators.MeasurementOperator` with input_len**2 <=
+  GRAM_KERNEL_ELEMENTS) steps by one N x N matvec and one add, and
+  ||Phi||^2 is ``eigvalsh(op.gram)[-1]``;
+* operator calls -- any other operator (the real-FFT kernel, the
+  frame-difference wrapper, a test hook) steps by one ``apply`` and one
+  ``adjoint``, and ||Phi||^2 comes from Lanczos.
+
+FISTA then computes Phi x - y once per continuation stage, and IHT once,
+at return.  The bound sits at the measured crossover: folded operators,
+best of 15 on a 2-vCPU VM (OpenBLAS on one thread), FISTA in microseconds
+per iteration and ||Phi||^2 in milliseconds:
+
+    (n, m, p)       N    FISTA: calls   Gram    norm: Lanczos  eigvalsh
+    (8, 12, 4)     32           13.5   10.0            0.42      0.044
+    (8, 24, 4)     32           12.4    9.6            0.42      0.043
+    (16, 64, 4)    64           14.5   10.5            1.09      0.17
+    (16, 32, 8)   128           14.5   12.4            0.66      0.57
+    (32, 48, 8)   256           17.8   21.2            0.83      2.8
+    (32, 128, 8)  256           23.5   19.0            2.6       2.6
+    (64, 256, 8)  512           58.1   79.4            2.9      14.5
+
+The Gram costs N^2 per step against about 2 m N for the two calls, so above
+N = 128 it wins only on tall operators, and its eigvalsh loses to Lanczos.
+The operator builds its Gram on first use: 0.004 ms at N = 32 and 0.05 ms
+at N = 128.
 
 Solvers accept any operator exposing apply/adjoint/input_len/output_len,
 and a finite y that is zero or has ||y||^2 a normal float64 (DataError
@@ -89,15 +118,20 @@ def _result(x, residual, iterations, converged, method, note=""):
 
 
 def operator_norm_sq(op):
-    """||Phi||^2 = lambda_max(Phi^T Phi) by Lanczos (ARPACK ``eigsh``).
+    """||Phi||^2 = lambda_max(Phi^T Phi).
 
-    Each Lanczos step is one ``apply`` and one ``adjoint``; the value is
-    exact to rounding in a few dozen steps.  Deterministic: the start
-    vector and ARPACK's restart vectors come from a fixed seed, so every
-    call on the same operator returns the same bits, in any thread.
+    From ``eigvalsh(op.gram)`` when the operator holds its Gram, else by
+    Lanczos (ARPACK ``eigsh``): each Lanczos step is one ``apply`` and one
+    ``adjoint``, and the value is exact to rounding in a few dozen steps.
+    Deterministic: the start vector and ARPACK's restart vectors come from
+    a fixed seed, so every call on the same operator returns the same bits,
+    in any thread.
     """
     from . import rng
 
+    gram = getattr(op, "gram", None)
+    if gram is not None:
+        return float(np.linalg.eigvalsh(gram)[-1])
     n = op.input_len
 
     def gram(v):
@@ -128,40 +162,46 @@ def hard_threshold(v, s):
     return out
 
 
-def _fista(op, y, lam, x0, r0, L, tol, max_iter):
+def _step_map(op, y, mu, corr=None):
+    """The gradient step z -> z - mu Phi^T (Phi z - y) of 0.5 ||Phi x - y||^2.
+
+    It is affine, M z + c with M = I - mu G and c = mu Phi^T y, so for an
+    operator that holds its Gram G (``op.gram``) it is one N x N matvec
+    and one add; ``corr`` is Phi^T y when the caller holds it.  Any other
+    operator takes one ``apply`` and one ``adjoint`` per step.
+    """
+    gram = getattr(op, "gram", None)
+    if gram is None:
+        return lambda z: z - mu * op.adjoint(op.apply(z) - y)
+    mat = np.eye(op.input_len) - mu * gram
+    c = mu * (op.adjoint(y) if corr is None else corr)
+    return lambda z: mat @ z + c
+
+
+def _fista(step, lam_step, x0, tol, max_iter):
     """l1-penalized least squares min 0.5||Phi x - y||^2 + lam ||x||_1.
 
     FISTA at the fixed step 1/L (L >= ||Phi||^2, so every step descends)
-    with gradient-based momentum restarts, started at x0 with its residual
-    r0 = Phi x0 - y; max_iter >= 1.  Each iteration makes one ``adjoint``
-    and one ``apply``: the extrapolated residual Phi z - y follows by
-    linearity from the two latest exact residuals, as in NESTA/TFOCS.
-    Returns (x, Phi x - y, iterations).
+    with gradient-based momentum restarts, started at x0; ``step`` is the
+    gradient step of :func:`_step_map` at mu = 1/L and ``lam_step`` is
+    lam / L; max_iter >= 1.  Returns (x, iterations).
     """
     x = z = x0
-    rx = rz = r0
     t = 1.0
     it = 0
     while True:
         it += 1
-        grad = op.adjoint(rz)
-        x_new = soft_threshold(z - grad / L, lam / L)
-        r_new = op.apply(x_new) - y
+        x_new = soft_threshold(step(z), lam_step)
         dx = x_new - x
         if float((z - x_new) @ dx) > 0.0:
             t = 1.0  # momentum restart
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        beta = (t - 1.0) / t_new
-        z = x_new + beta * dx
+        z = x_new + ((t - 1.0) / t_new) * dx
         # sqrt(v @ v) is what np.linalg.norm computes for 1-D float64, at less call overhead
         step_ok = math.sqrt(dx @ dx) <= tol * max(1.0, math.sqrt(x_new @ x_new))
         x, t = x_new, t_new
         if step_ok or it >= max_iter:
-            return x, r_new, it
-        # Phi z - y from exact residuals, so rounding does not accumulate;
-        # beta = 0 after a restart gives r_new itself
-        rz = r_new + beta * (r_new - rx)
-        rx = r_new
+            return x, it
 
 
 def solve_bpdn(op, y, epsilon, cfg):
@@ -176,8 +216,8 @@ def solve_bpdn(op, y, epsilon, cfg):
     shrinks to adjacent floats, the search restarts once with 1000x tighter
     inner solves; a second collapse stops unconverged with the note
     "lambda bracket collapsed".  The inner FISTA solves take the fixed step
-    1/(1.01 ||Phi||^2), with ||Phi||^2 from Lanczos (:func:`operator_norm_sq`),
-    and make two operator calls per iteration.
+    1/(1.01 ||Phi||^2) (:func:`operator_norm_sq`) through the solve's one
+    step map; each stage ends with one ``apply`` for its residual.
     """
     if not epsilon >= 0:
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
@@ -195,10 +235,10 @@ def solve_bpdn(op, y, epsilon, cfg):
         return _result(np.zeros(n), -y, 0, converged, "bpdn", note="Phi^T y = 0")
 
     L = 1.01 * operator_norm_sq(op)
+    step = _step_map(op, y, 1.0 / L, corr)
     root_rtol = 1e-6
 
     x = np.zeros(n)
-    res = op.apply(x) - y
     iters = 0
     lam_hi, r_hi = lam_max, ynorm
     lam_lo, r_lo = None, None
@@ -210,8 +250,9 @@ def solve_bpdn(op, y, epsilon, cfg):
         budget = cfg.max_iter - iters
         if budget <= 0:
             break
-        x, res, it = _fista(op, y, lam, x, res, L, tol, budget)
+        x, it = _fista(step, lam / L, x, tol, budget)
         iters += it
+        res = op.apply(x) - y
         r = float(np.linalg.norm(res))
         if r <= eps_eff if epsilon == 0.0 else abs(r - eps_eff) <= root_rtol * eps_eff:
             converged = True
@@ -251,31 +292,30 @@ def solve_iht(op, y, s, cfg):
     """Iterative hard thresholding toward an s-sparse estimate.
 
     x <- H_s(x - mu * Phi^T (Phi x - y)) at the fixed step mu = 1/||Phi||^2
-    (Lanczos, :func:`operator_norm_sq`; 1 for a zero operator).  That step
+    (:func:`operator_norm_sq`; 1 for a zero operator).  That step
     minimizes a majorizer of 0.5 ||Phi x - y||^2 over s-sparse x, so the
-    residual never increases (Blumensath & Davies 2009).  Each iteration
-    makes one ``adjoint`` and one ``apply``.  Stops when the iterate change
-    drops below opt_tol * ||x||, or when max_iter is reached.
+    residual never increases (Blumensath & Davies 2009).  The step is the
+    solve's one step map, and the residual is computed once, at return.
+    Stops when the iterate change drops below opt_tol * ||x||, or when
+    max_iter is reached.  s must be an integer >= 1.
     """
-    if s < 1:
-        raise ParameterError(f"s must be >= 1, got {s}")
+    if not is_integer(s) or s < 1:
+        raise ParameterError(f"s must be an integer >= 1, got {s!r}")
     y = _check_y(op, y)
     lips = operator_norm_sq(op)
-    mu = 1.0 / lips if lips > 0 else 1.0
+    step = _step_map(op, y, 1.0 / lips if lips > 0 else 1.0)
     x = np.zeros(op.input_len)
-    r = -y
     converged = False
     it = 0
     while it < cfg.max_iter:
         it += 1
-        x_new = hard_threshold(x - mu * op.adjoint(r), s)
-        r = op.apply(x_new) - y
-        step = float(np.linalg.norm(x_new - x))
+        x_new = hard_threshold(step(x), s)
+        dx = float(np.linalg.norm(x_new - x))
         x = x_new
-        if step <= cfg.opt_tol * float(np.linalg.norm(x)):
+        if dx <= cfg.opt_tol * float(np.linalg.norm(x)):
             converged = True
             break
-    return _result(x, r, it, converged, "iht")
+    return _result(x, op.apply(x) - y, it, converged, "iht")
 
 
 def solve_oracle_ls(op, y, support):

@@ -1,3 +1,4 @@
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -9,6 +10,7 @@ from sparsep import rng
 from sparsep.errors import BudgetError, DataError, DimensionError, ParameterError
 from sparsep.experiments import _FrameDifferenceOperator
 from sparsep.operators import (
+    GRAM_KERNEL_ELEMENTS,
     MeasurementOperator,
     Variant,
     build_dense_folded,
@@ -255,13 +257,24 @@ class TestIHT:
         with pytest.raises(ParameterError):
             solve_iht(op, np.zeros(3), 0, SolverConfig())
 
+    @pytest.mark.parametrize("s", [2.5, 2.0, True, "2"])
+    def test_requires_integer_s(self, s):
+        with pytest.raises(ParameterError, match="integer"):
+            solve_iht(IdentityOp(3), np.ones(3), s, SolverConfig())
+
 
 class CountingOp:
-    """Test hook: forwards to ``base`` and counts apply and adjoint calls."""
+    """Test hook: forwards to ``base`` and counts apply and adjoint calls.
 
-    def __init__(self, base):
+    It hides the Gram of ``base``, so the solvers step through operator
+    calls, unless ``keep_gram`` is set.
+    """
+
+    def __init__(self, base, keep_gram=False):
         self.base, self.calls = base, 0
         self.input_len, self.output_len = base.input_len, base.output_len
+        if keep_gram:
+            self.gram = base.gram
 
     def apply(self, x):
         self.calls += 1
@@ -295,7 +308,8 @@ def _iht_cases(draw):
 def test_iht_descends_at_two_operator_calls_per_iteration(case):
     # the step 1/||Phi||^2 minimizes a majorizer of the residual over s-sparse
     # x, so no max_iter prefix ends above the one before it; each iteration is
-    # one adjoint and one apply, after the norm's Lanczos calls
+    # one apply and one adjoint, after the norm's Lanczos calls, and the
+    # returned residual takes one apply more
     base, y, s = case
     op = CountingOp(base)
     operator_norm_sq(op)
@@ -304,9 +318,89 @@ def test_iht_descends_at_two_operator_calls_per_iteration(case):
     for max_iter in (1, 2, 3, 5, 8, 13, 21, 34):
         op.calls = 0
         res = solve_iht(op, y, s, SolverConfig(max_iter=max_iter))
-        assert op.calls == norm_calls + 2 * res.iterations
+        assert op.calls == norm_calls + 2 * res.iterations + 1
         residuals.append(res.residual_norm)
     assert all(b <= a * (1 + 1e-12) for a, b in zip(residuals, residuals[1:]))
+
+
+def test_held_gram_step_makes_no_operator_calls_per_iteration(monkeypatch):
+    # stepping through the held Gram, IHT makes Phi^T y and the returned
+    # residual's apply, and solve_bpdn Phi^T y and one apply per FISTA
+    # stage, however many iterations they run; the norm reads the Gram
+    probes, h, _ = sparse_instance(ProblemDims(8, 24, 4), 3, 4)
+    op = CountingOp(folded_operator(probes), keep_gram=True)
+    y = op.base.apply(h)
+    assert operator_norm_sq(op) > 0 and op.calls == 0
+    stages = _count_fista_stages(monkeypatch)
+    for method in ("iht", "bpdn"):
+        iterations = set()
+        for max_iter in (1, 5, 34, 5000):
+            op.calls, stages[0] = 0, 0
+            if method == "iht":
+                iterations.add(solve_iht(op, y, 4, SolverConfig(max_iter=max_iter)).iterations)
+                assert op.calls == 2
+            else:
+                iterations.add(solve_bpdn(op, y, 0.0, SolverConfig(max_iter=max_iter)).iterations)
+                assert op.calls == 1 + stages[0]
+        assert len(iterations) == 4
+
+
+def _count_fista_stages(monkeypatch):
+    """Count solve_bpdn's FISTA stages in the returned one-element list."""
+    from sparsep import solvers
+
+    stages, fista = [0], solvers._fista
+
+    def counted(*args):
+        stages[0] += 1
+        return fista(*args)
+
+    monkeypatch.setattr(solvers, "_fista", counted)
+    return stages
+
+
+def _step_case(n, m, p, seed, variant):
+    op = MeasurementOperator(generate_probes(ProblemDims(n, m, p), seed), variant)
+    s = max(1, min(4, op.input_len // 4))
+    h = np.zeros(op.input_len)
+    h[rng.rand_support(rng.derive_seed(seed, 1), op.input_len, s)] = rng.gaussians(seed, s)
+    return op, op.apply(h), s
+
+
+@st.composite
+def _step_cases(draw):
+    n = draw(st.integers(1, 16))
+    p = draw(st.integers(1 if n > 1 else 2, math.isqrt(GRAM_KERNEL_ELEMENTS) // n))
+    return _step_case(n, draw(st.integers(n, 48)), p, draw(st.integers(0, 2**64 - 1)),
+                      draw(st.sampled_from(Variant)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=_step_cases())
+@example(case=_step_case(1, 3, 1, 0, Variant.LINEAR))  # N = 1: Lanczos runs no eigsh
+@example(case=_step_case(16, 64, 8, 3, Variant.FOLDED))  # N = 128: holds a Gram
+@example(case=_step_case(32, 64, 8, 3, Variant.LINEAR))  # N = 256: holds none
+def test_gram_step_agrees_with_operator_calls(case):
+    # the held-Gram step and the operator-call step are one affine map, so
+    # the solves agree to rounding and stop alike
+    op, y, s = case
+    if op.input_len**2 <= GRAM_KERNEL_ELEMENTS:
+        assert not op.gram.flags.writeable
+        assert np.array_equal(op.gram, op._matrix.T @ op._matrix)
+    else:
+        assert op.gram is None
+    calls = CountingOp(op)
+    gram_sq, lanczos_sq = operator_norm_sq(op), operator_norm_sq(calls)
+    assert abs(gram_sq - lanczos_sq) <= 1e-13 * lanczos_sq
+    eps = 0.05 * float(np.linalg.norm(y))
+    noisy = y + rng.noise_with_norm(rng.derive_seed(1, op.input_len), y.size, eps)
+    for solve in (lambda o: solve_bpdn(o, y, 0.0, SolverConfig()),
+                  lambda o: solve_bpdn(o, noisy, eps, SolverConfig()),
+                  lambda o: solve_iht(o, y, s, SolverConfig())):
+        held, called = solve(op), solve(calls)
+        assert (held.converged, held.note) == (called.converged, called.note)
+        scale = float(np.linalg.norm(called.x_hat))
+        assert np.linalg.norm(held.x_hat - called.x_hat) <= 1e-9 * scale
 
 
 def _norm_case(n, m, p, seed, variant):
@@ -349,18 +443,19 @@ class TestOperatorNorm:
         assert operator_norm_sq(zero) == 0.0
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
-    def test_fista_makes_two_operator_calls_per_iteration(self, variant):
-        # A z comes by linearity, so an iteration is one adjoint and one apply;
-        # solve_bpdn adds Phi^T y and Phi x0, and the norm's Lanczos calls
-        # are counted apart
+    def test_fista_makes_two_operator_calls_per_iteration(self, variant, monkeypatch):
+        # through operator calls an iteration is one apply and one adjoint;
+        # solve_bpdn adds Phi^T y and one apply per stage for the stage's
+        # residual, and the norm's Lanczos calls are counted apart
         d = ProblemDims(8, 24, 4)
         probes, h, _ = sparse_instance(d, 3, 4)
         op = CountingOp(MeasurementOperator(probes, variant))
         operator_norm_sq(op)
         norm_calls, op.calls = op.calls, 0
+        stages = _count_fista_stages(monkeypatch)
         res = solve_bpdn(op, op.base.apply(h), 0.0, SolverConfig())
         assert res.converged
-        assert op.calls - norm_calls == 2 * res.iterations + 2
+        assert op.calls - norm_calls == 2 * res.iterations + 1 + stages[0]
 
 
 class TestOracleLS:
@@ -526,13 +621,18 @@ def test_y_inside_normal_range_accepted(scale):
 # came from Lanczos (x_hat moved by at most 7.5e-13 relative in l2;
 # FROZEN_API_FLAGS held), and all eight when operators below
 # DENSE_KERNEL_ELEMENTS took the dense kernel (x_hat moved by at most
-# 8.2e-16 relative in l2; FROZEN_API_FLAGS held).
+# 8.2e-16 relative in l2; FROZEN_API_FLAGS held).  The four bpdn digests and
+# iht (8, 24, 4) were re-recorded when FISTA and IHT stepped through the
+# held Gram below GRAM_KERNEL_ELEMENTS, and FISTA through apply(z) in place
+# of Phi z by linearity above it (x_hat moved by at most, relative in l2:
+# bpdn-folded 8.3e-16 and 2.6e-16, bpdn-linear 1.8e-15 and 1.9e-16, iht
+# 1.0e-15; FROZEN_API_FLAGS held).
 FROZEN_API_DIGESTS = {
-    ("bpdn-folded", (8, 24, 4)): "7f1c20ed749d810c532d6e2e18755b6bb8cf603a023b52818606cdd265428adf",
-    ("bpdn-folded", (32, 128, 8)): "b528eeb09ad2c309f46f3965a833e5a0710075eb39fc396c7ad2d961c66d0a8f",
-    ("bpdn-linear", (8, 24, 4)): "934a405ad3fc6d02479def0c5c85f9e3c16638c09c7114a5a8f607ed92447c0a",
-    ("bpdn-linear", (32, 128, 8)): "933775eb1c519e5c04978e689b694ee303a452a1a7a7a394301d6e1d656d8fd6",
-    ("iht", (8, 24, 4)): "084ee4d75f5c557088bfb0f7af88302bc3c0a29f3508955337488f33a9fb929f",
+    ("bpdn-folded", (8, 24, 4)): "1927cf98d90efe5dc0c6283a5109b8d614654887408696aeea325069d4602168",
+    ("bpdn-folded", (32, 128, 8)): "62d8211e1841588c6cd0ae69c1e8b8fa99cb215b2fd6f977a9410d83456e820e",
+    ("bpdn-linear", (8, 24, 4)): "dd366bb08896397a3e1ad91e46a12084f4ec5e750a2d92e3956ca74751c29641",
+    ("bpdn-linear", (32, 128, 8)): "1697888c640ce857b627889ea8f021ea124ae5750664da89611ae8918182ac06",
+    ("iht", (8, 24, 4)): "a7dac5d7b757c84fbf03d66f4deaf38dde331ec671a6638da3002d9d6ceb0412",
     ("iht", (32, 128, 8)): "c182051505c08790b186aa9d528461e6161c334e42a1d076471f821fff05b71f",
     ("oracle", (8, 24, 4)): "86653ad3d8b07905f26811ee18aa6fcf9b4cd90768f41dd10f3218eb1d89dbda",
     ("oracle", (32, 128, 8)): "dacba9e3fdd4bc8d95cc594c470ba1d85414d7a7c6115b464f3e12cf0cabed6c",
