@@ -19,7 +19,7 @@ from . import __version__, fileio, rng
 from .errors import ParameterError, SparsepError
 from .experiments import NUMERICS, complete_points, grid_points, run_experiment
 from .operators import MeasurementOperator
-from .probes import ProblemDims, generate_probes
+from .probes import ProblemDims, _check_seed, generate_probes
 from .solvers import SolverConfig, solve_bpdn, solve_iht, solve_oracle_ls
 
 
@@ -87,6 +87,8 @@ def gen_probes(n, m, p, seed, out):
 def simulate(probes_path, channels_path, sparsity, channel_seed, noise_eps,
              noise_seed, out, folded_out, save_channels):
     """Form y = Phi_lin h (+ optional exact-norm noise) from a probe file."""
+    _check_seed(channel_seed, "--channel-seed")
+    _check_seed(noise_seed, "--noise-seed")
     probes = fileio.read_probes(probes_path)
     dims = probes.dims
     if (channels_path is None) == (sparsity is None):

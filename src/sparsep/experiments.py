@@ -41,7 +41,7 @@ import numpy as np
 from . import rng
 from .errors import BudgetError, DataError, ParameterError
 from .operators import folded_operator, linear_operator
-from .probes import ProblemDims, generate_probes, is_finite, is_integer
+from .probes import ProblemDims, _check_seed, generate_probes, is_finite, is_integer
 from .snorm import EXACT, RANDOMIZED, rip_delta
 from .solvers import SolverConfig, solve_bpdn, solve_iht, solve_oracle_ls
 
@@ -91,6 +91,7 @@ class ExperimentConfig:
                 raise ParameterError(f"{name} must be non-empty")
             if name != "epsilon_grid" and not all(map(is_integer, grid)):
                 raise ParameterError(f"{name} values must be integers, got {list(grid)}")
+        _check_seed(self.base_seed, "base_seed")
         threshold = self.success_threshold
         for name, ok, need in (
             ("kind", self.kind in KINDS, f"one of {KINDS}"),
@@ -99,7 +100,6 @@ class ExperimentConfig:
             ("epsilon_grid", all(is_finite(eps, 0.0) for eps in self.epsilon_grid),
              "finite values >= 0"),
             ("trials", is_integer(self.trials) and self.trials >= 1, "an integer >= 1"),
-            ("base_seed", is_integer(self.base_seed), "an integer"),
             ("success_threshold", is_finite(threshold, 0.0) and threshold > 0, "finite and > 0"),
             ("decay", is_finite(self.decay, 0.0), "finite and >= 0"),
             ("block_difference", isinstance(self.block_difference, bool), "true or false"),

@@ -64,10 +64,14 @@ class ProblemDims:
         return self.m + self.n - 1
 
 
-def _check_seed(seed):
-    """``seed`` as an int, or ParameterError unless it is a 64-bit key in [0, 2**64)."""
+def _check_seed(seed, name="seed"):
+    """``seed`` as an int, or ParameterError unless it is a 64-bit key in [0, 2**64).
+
+    Seeds are masked to 64 bits downstream, so one outside would alias
+    another; ``name`` labels the message.
+    """
     if not (is_integer(seed) and 0 <= seed < 2**64):
-        raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+        raise ParameterError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
     return int(seed)
 
 

@@ -30,22 +30,26 @@ solve builds it once (:func:`_step_map`) in one of two forms:
 
 FISTA then computes Phi x - y once per continuation stage, and IHT once,
 at return.  The bound sits at the measured crossover: folded operators,
-best of 15 on a 2-vCPU VM (OpenBLAS on one thread), FISTA in microseconds
-per iteration and ||Phi||^2 in milliseconds:
+best of 4 x 15 on a 2-vCPU VM (OpenBLAS on one thread), FISTA in
+microseconds per iteration and ||Phi||^2 in milliseconds:
 
     (n, m, p)       N    FISTA: calls   Gram    norm: Lanczos  eigvalsh
-    (8, 12, 4)     32           13.5   10.0            0.42      0.044
-    (8, 24, 4)     32           12.4    9.6            0.42      0.043
-    (16, 64, 4)    64           14.5   10.5            1.09      0.17
-    (16, 32, 8)   128           14.5   12.4            0.66      0.57
-    (32, 48, 8)   256           17.8   21.2            0.83      2.8
-    (32, 128, 8)  256           23.5   19.0            2.6       2.6
-    (64, 256, 8)  512           58.1   79.4            2.9      14.5
+    (8, 12, 4)     32           10.5    7.8            0.41      0.040
+    (8, 24, 4)     32           11.0    7.7            0.42      0.043
+    (16, 64, 4)    64           11.8    8.1            0.99      0.16
+    (16, 32, 8)   128           11.8    9.3            0.61      0.58
+    (32, 48, 8)   256           15.8   18.9            0.77      2.7
+    (32, 128, 8)  256           18.9   16.0            2.3       2.4
+    (64, 256, 8)  512           48.8   67.9            2.8      13.9
 
 The Gram costs N^2 per step against about 2 m N for the two calls, so above
 N = 128 it wins only on tall operators, and its eigvalsh loses to Lanczos.
 The operator builds its Gram on first use: 0.004 ms at N = 32 and 0.05 ms
-at N = 128.
+at N = 128.  At N <= 128 an iteration is about ten numpy calls on short
+vectors, so their overhead sets its cost.  Every product in the loops is
+``@``, not ``ndarray.dot`` or ``np.linalg.norm`` (which calls ``dot``):
+``dot`` releases the GIL on each call, and two experiment threads that
+re-take it that often ran slower than with ``@``.
 
 Solvers accept any operator exposing apply/adjoint/input_len/output_len,
 and a finite y that is zero or has ||y||^2 a normal float64 (DataError
@@ -63,6 +67,10 @@ from .errors import BudgetError, DataError, DimensionError, ParameterError
 from .probes import is_finite, is_integer
 
 _NORM_SEED = 0x5EED
+# _fista bounds ||x_new|| by a sum of computed norms, each within about N
+# ulps of exact, over at most max_iter additions; this covers that rounding
+# far beyond any N or max_iter here
+_NORM_SLACK = 1.0 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -185,23 +193,37 @@ def _fista(step, lam_step, x0, tol, max_iter):
     with gradient-based momentum restarts, started at x0; ``step`` is the
     gradient step of :func:`_step_map` at mu = 1/L and ``lam_step`` is
     lam / L; max_iter >= 1.  Returns (x, iterations).
+
+    The iterate ``u - u.clip(-lam_step, lam_step)`` has the values of
+    ``soft_threshold(u, lam_step)`` but +0.0 where that has -0.0, so the
+    returned x is soft_threshold of the last step.  ``bound`` is at least
+    max(1, ||x_new||): the last such value computed plus every step norm
+    since.  ||x_new|| is computed only when the step is small enough next
+    to that bound (times _NORM_SLACK) for the stop test to pass.
     """
     x = z = x0
     t = 1.0
     it = 0
+    bound = math.inf
     while True:
         it += 1
-        x_new = soft_threshold(step(z), lam_step)
+        u = step(z)
+        x_new = u - u.clip(-lam_step, lam_step)
         dx = x_new - x
-        if float((z - x_new) @ dx) > 0.0:
+        if (z - x_new) @ dx > 0.0:
             t = 1.0  # momentum restart
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         z = x_new + ((t - 1.0) / t_new) * dx
         # sqrt(v @ v) is what np.linalg.norm computes for 1-D float64, at less call overhead
-        step_ok = math.sqrt(dx @ dx) <= tol * max(1.0, math.sqrt(x_new @ x_new))
+        step_norm = math.sqrt(dx @ dx)
+        bound += step_norm
+        step_ok = False
+        if step_norm <= tol * _NORM_SLACK * bound:
+            bound = max(1.0, math.sqrt(x_new @ x_new))
+            step_ok = step_norm <= tol * bound
         x, t = x_new, t_new
         if step_ok or it >= max_iter:
-            return x, it
+            return soft_threshold(u, lam_step), it
 
 
 def solve_bpdn(op, y, epsilon, cfg):
@@ -310,9 +332,9 @@ def solve_iht(op, y, s, cfg):
     while it < cfg.max_iter:
         it += 1
         x_new = hard_threshold(step(x), s)
-        dx = float(np.linalg.norm(x_new - x))
+        dx = x_new - x
         x = x_new
-        if dx <= cfg.opt_tol * float(np.linalg.norm(x)):
+        if math.sqrt(dx @ dx) <= cfg.opt_tol * math.sqrt(x @ x):
             converged = True
             break
     return _result(x, op.apply(x) - y, it, converged, "iht")

@@ -132,6 +132,18 @@ class TestSimulate:
         assert "--noise-eps" in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--channel-seed", "--noise-seed"])
+    @pytest.mark.parametrize("seed", [-1, 2**64 + 5])
+    def test_seed_outside_64_bits_exit_2(self, runner, tmp_path, flag, seed):
+        # both seeds are masked to 64 bits: -1 would draw 2**64 - 1's channel or noise
+        probes = gen(runner, tmp_path)
+        out = tmp_path / "y.csv"
+        result = runner.invoke(main, ["simulate", "--probes", str(probes), "--random-sparse", "2",
+                                      "--noise-eps", "0.1", flag, str(seed), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"{flag} must be an integer in [0, 2**64)" in result.output
+        assert not out.exists()
+
     def test_requires_exactly_one_channel_source(self, runner, tmp_path):
         probes = gen(runner, tmp_path)
         result = runner.invoke(main, ["simulate", "--probes", str(probes),

@@ -16,7 +16,7 @@ from sparsep.experiments import (
     replay_trial,
     run_experiment,
 )
-from sparsep.fileio import write_trials_csv
+from sparsep.fileio import config_hash, write_trials_csv
 from sparsep.solvers import SolverConfig
 
 
@@ -56,6 +56,21 @@ class TestConfig:
         # int() would truncate 4.7 to 4 while record.json kept 4.7
         with pytest.raises(ParameterError, match=field):
             phase_cfg(**{field: value})
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_rejects_base_seed_outside_64_bits(self, seed):
+        # derive_seed masks to 64 bits: -1 would run 2**64 - 1's trials and
+        # 2**64 + 5 those of 5, each under its own config_hash
+        with pytest.raises(ParameterError, match=r"base_seed must be an integer in \[0, 2\*\*64\)"):
+            phase_cfg(base_seed=seed)
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "bbf5522e1b62b39022fe798cda392a39c3a07a5d01a06b4aebf9c8ef54da5023"),
+        (2**64 - 1, "26b1c2ebe3119f629f42292b68f0412c9412869305c12a39fff3e5f7e3a08ad0"),
+    ])
+    def test_base_seed_range_ends_keep_their_hash(self, seed, digest):
+        # the range check leaves the hash of a valid config as it was
+        assert config_hash(phase_cfg(trials=2, base_seed=seed)) == digest
 
     def test_accepts_numpy_integers(self):
         cfg = phase_cfg(n_grid=(np.int64(4),), s_grid=(np.int32(1),), trials=np.int64(2))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsep import rng
+from sparsep import rng, solvers
 from sparsep.errors import BudgetError, DataError, DimensionError, ParameterError
 from sparsep.experiments import _FrameDifferenceOperator
 from sparsep.operators import (
@@ -25,6 +25,7 @@ from sparsep.solvers import (
     hard_threshold,
     operator_norm_sq,
     reference_bpdn,
+    soft_threshold,
     solve_bpdn,
     solve_iht,
     solve_oracle_ls,
@@ -92,6 +93,27 @@ class TestHardThreshold:
     def test_s_ge_n_is_identity(self):
         v = np.array([1.0, 2.0])
         assert np.array_equal(hard_threshold(v, 5), v)
+
+
+class TestSoftThreshold:
+    def test_values_and_signs(self):
+        v = np.array([3.0, -3.0, 0.5, -0.5, 1.0, -1.0, 0.0])
+        out = soft_threshold(v, 1.0)
+        assert out.tobytes() == np.array([2.0, -2.0, 0.0, -0.0, 0.0, -0.0, 0.0]).tobytes()
+        # negative input in the dead zone gives -0.0, which _fista's clip form
+        # (u - u.clip(-tau, tau)) writes as +0.0; the values agree
+        assert list(np.signbit(out)) == [False, True, False, True, False, True, False]
+        assert np.array_equal(v - v.clip(-1.0, 1.0), out)
+
+    def test_zero_tau_is_identity(self):
+        v = np.array([1.5, -2.0, 1e-300, -7.0])
+        assert soft_threshold(v, 0.0).tobytes() == v.tobytes()
+
+    def test_tau_above_max_magnitude_gives_signed_zeros(self):
+        v = np.array([0.25, -0.5, 0.0, -1e-12])
+        out = soft_threshold(v, 0.75)
+        assert not np.any(out)
+        assert list(np.signbit(out)) == [False, True, False, True]
 
 
 class TestBPDN:
@@ -347,8 +369,6 @@ def test_held_gram_step_makes_no_operator_calls_per_iteration(monkeypatch):
 
 def _count_fista_stages(monkeypatch):
     """Count solve_bpdn's FISTA stages in the returned one-element list."""
-    from sparsep import solvers
-
     stages, fista = [0], solvers._fista
 
     def counted(*args):
@@ -403,6 +423,96 @@ def test_gram_step_agrees_with_operator_calls(case):
         assert np.linalg.norm(held.x_hat - called.x_hat) <= 1e-9 * scale
 
 
+def _fista_every_norm(step, lam_step, x0, tol, max_iter):
+    """The FISTA loop with the five-call soft threshold and both norms read
+    on every iteration; _fista must return its bytes and iteration count."""
+    x = z = x0
+    t = 1.0
+    it = 0
+    while True:
+        it += 1
+        u = step(z)
+        x_new = np.sign(u) * np.maximum(np.abs(u) - lam_step, 0.0)
+        dx = x_new - x
+        if float((z - x_new) @ dx) > 0.0:
+            t = 1.0
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        z = x_new + ((t - 1.0) / t_new) * dx
+        step_ok = np.linalg.norm(dx) <= tol * max(1.0, np.linalg.norm(x_new))
+        x, t = x_new, t_new
+        if step_ok or it >= max_iter:
+            return x, it
+
+
+def _iht_every_norm(op, y, s, cfg):
+    """solve_iht's loop with np.linalg.norm for both norms of its stop test."""
+    lips = operator_norm_sq(op)
+    step = solvers._step_map(op, y, 1.0 / lips if lips > 0 else 1.0)
+    x = np.zeros(op.input_len)
+    it = 0
+    while it < cfg.max_iter:
+        it += 1
+        x_new = hard_threshold(step(x), s)
+        dx = float(np.linalg.norm(x_new - x))
+        x = x_new
+        if dx <= cfg.opt_tol * float(np.linalg.norm(x)):
+            return x, it, True
+    return x, it, False
+
+
+def _loop_case(n, m, p, seed, variant, scale, held):
+    op = MeasurementOperator(generate_probes(ProblemDims(n, m, p), seed), variant)
+    y = scale * rng.gaussians(rng.derive_seed(seed, 9), op.output_len)
+    return (op if held else CountingOp(op)), y
+
+
+@st.composite
+def _loop_cases(draw):
+    # both step maps: the held Gram (N <= 128 here) and CountingOp's calls
+    n = draw(st.integers(1, 16))
+    p = draw(st.integers(1 if n > 1 else 2, math.isqrt(GRAM_KERNEL_ELEMENTS) // n))
+    return _loop_case(n, draw(st.integers(n, 48)), p, draw(st.integers(0, 2**64 - 1)),
+                      draw(st.sampled_from(Variant)), 10.0 ** draw(st.floats(-6, 6)),
+                      draw(st.booleans()))
+
+
+_MAX_ITER_CUTS = st.one_of(st.integers(1, 50), st.just(5000))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_loop_cases(), lam_exp=st.floats(-8, 0), tol=st.sampled_from([1e-4, 1e-8, 1e-11]),
+       max_iter=_MAX_ITER_CUTS, warm=st.booleans())
+@example(case=_loop_case(8, 24, 4, 3, Variant.FOLDED, 1.0, True), lam_exp=-3.0, tol=1e-8,
+         max_iter=5000, warm=True)
+@example(case=_loop_case(8, 24, 4, 3, Variant.LINEAR, 1e-6, False), lam_exp=-6.0, tol=1e-8,
+         max_iter=5000, warm=True)
+def test_fista_matches_the_every_norm_loop_byte_for_byte(case, lam_exp, tol, max_iter, warm):
+    # _fista reads ||x_new|| only when it can decide the stop and thresholds
+    # by clipping: neither may move an output byte or the iteration count
+    op, y = case
+    L = 1.01 * operator_norm_sq(op)
+    step = solvers._step_map(op, y, 1.0 / L)
+    lam = 10.0**lam_exp * float(np.max(np.abs(op.adjoint(y))))
+    x0 = np.zeros(op.input_len)
+    if warm:  # a previous stage's x, with its -0.0 entries
+        x0, _ = _fista_every_norm(step, 8.0 * lam / L, x0, tol, 50)
+    x, it = solvers._fista(step, lam / L, x0, tol, max_iter)
+    x_ref, it_ref = _fista_every_norm(step, lam / L, x0, tol, max_iter)
+    assert (x.tobytes(), it) == (x_ref.tobytes(), it_ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_loop_cases(), s=st.integers(1, 16), max_iter=_MAX_ITER_CUTS)
+def test_iht_matches_the_linalg_norm_loop_byte_for_byte(case, s, max_iter):
+    op, y = case
+    s = min(s, op.input_len)
+    cfg = SolverConfig(max_iter=max_iter)
+    res = solve_iht(op, y, s, cfg)
+    x_ref, it_ref, converged = _iht_every_norm(op, y, s, cfg)
+    assert (res.x_hat.tobytes(), res.iterations, res.converged) == (x_ref.tobytes(), it_ref,
+                                                                     converged)
+
+
 def _norm_case(n, m, p, seed, variant):
     op = MeasurementOperator(generate_probes(ProblemDims(n, m, p), seed), variant)
     dense = (build_dense_folded if op.variant is Variant.FOLDED else build_dense_linear)(op.probes)
@@ -423,10 +533,14 @@ class TestOperatorNorm:
     @example(case=_norm_case(1, 3, 1, 0, Variant.LINEAR))
     @example(case=_norm_case(2, 2, 1, 0, Variant.FOLDED))  # N = 2: k = 1 < N
     @example(case=_norm_case(1, 4, 2, 0, Variant.LINEAR))
+    @example(case=_norm_case(32, 48, 8, 5, Variant.FOLDED))  # N = 256: holds no Gram
+    @example(case=_norm_case(32, 64, 8, 3, Variant.LINEAR))
     def test_matches_dense_eigenvalue(self, case):
+        # drawn operators hold a Gram; CountingOp hides it, so Lanczos runs
         op, dense = case
         expected = np.linalg.eigvalsh(dense.T @ dense)[-1]
         assert abs(operator_norm_sq(op) - expected) <= 1e-10 * expected
+        assert abs(operator_norm_sq(CountingOp(op)) - expected) <= 1e-10 * expected
 
     def test_same_bits_across_calls_and_threads(self):
         op = linear_operator(generate_probes(ProblemDims(32, 128, 8), 3))
