@@ -61,6 +61,41 @@ milliseconds, and building the Gram in milliseconds:
     (32, 128, 8)  256           23.5   19.0            2.6       2.6     0.35
     (64, 256, 8)  512           58.1   79.4            2.9      14.5     2.2
 
+``gram_apply(x)`` is Phi^T Phi x on every operator.  On the real-FFT
+kernel it is p x p Toeplitz blocks, whose entries are the probes' signed
+cross-correlations at lags |d| < n (:class:`LagGram`), so at the lag
+length K = next_fast_len(2n - 1) they act as circular convolutions without
+wrap.  An operator of that kernel with K < fft_len sets ``lag_len = K``
+and computes gram_apply from its lag spectrum ``H = rfft(signed lags, K)``,
+shape (K//2 + 1, p, p), built on first use one circulant row at a time:
+one batched rfft of the p blocks, one p x p product per frequency and one
+batched irfft, all at length K.  Every other operator has ``lag_len =
+None`` and takes adjoint(apply(x)).  The solvers step FISTA and IHT, and
+run Lanczos, through gram_apply when ``lag_len`` is set
+(:mod:`sparsep.solvers`).  Phi^T Phi x in microseconds, both routes, and
+building H in milliseconds, best of 2 x 15 x 50 calls on a 2-vCPU VM:
+
+    variant  (n, m, p)        fft_len     K   calls   lags   build   route
+    folded   (64, 256, 16)        256   128    54.0   33.3    0.77   lags
+    linear   (64, 256, 16)        320   128    61.3   33.4    0.76   lags
+    folded   (64, 384, 8)         384   128    52.2   23.9    0.31   lags
+    linear   (64, 384, 8)         450   128    60.8   24.0    0.30   lags
+    folded   (256, 1024, 16)     1024   512   149.8  104.7    2.66   lags
+    linear   (256, 1024, 16)     1280   512   183.0  101.7    3.06   lags
+    folded   (32, 4096, 8)       4096    64   407.4   18.5    1.67   lags
+    linear   (32, 4096, 8)       4320    64   467.6   18.5    1.62   lags
+    linear   (128, 256, 16)       384   256    73.0   51.9    1.00   lags
+    folded   (128, 256, 16)       256   256    54.9   52.2    0.86   calls
+    linear   (128, 128, 16)       256   256    54.7   52.9    0.88   calls
+    linear   (512, 512, 8)       1024  1024    94.0   98.5    0.87   calls
+    folded   (128, 128, 16)       128   256    40.3   52.8    1.19   calls
+    folded   (512, 512, 8)        512  1024    57.7   98.4    0.82   calls
+
+The lag route costs about what its transforms at length K cost, and the
+calls about what theirs at fft_len cost, so the rule is K < fft_len.  At
+K = fft_len the two routes are level (within 5% either way); above it the
+calls win.
+
 All public vectors are real float64.  The public dense constructions
 (``build_dense_*``) are for tests and diagnostics and are gated by the
 dense element budget.
@@ -94,8 +129,11 @@ class MeasurementOperator:
     spectra and, for operators of at most DENSE_KERNEL_ELEMENTS entries,
     the matrix that apply/adjoint multiply by come from ``c``, and for
     input_len**2 <= GRAM_KERNEL_ELEMENTS so does the Gram of that matrix.
-    apply/adjoint are reentrant and allocate per call; the operator is
-    immutable.
+    ``lag_len`` is the lag length K on a real-FFT-kernel operator with K <
+    fft_len, and None on every other operator.
+    apply/adjoint/gram_apply are reentrant and allocate per call; the
+    operator is immutable apart from the Gram and lag spectrum it builds
+    on first use.
     """
 
     def __init__(self, probes, variant):
@@ -116,9 +154,12 @@ class MeasurementOperator:
             self.c[:, : d.m] = probes.phi
         self.c.setflags(write=False)
         self._g_half = np.fft.rfft(self.c, axis=1)
-        self._matrix = self._gram = None
+        self._matrix = self._gram = self._lag_spectrum = self.lag_len = None
+        lag_len = next_fast_len(2 * d.n - 1, real=True)
         if self.output_len * self.input_len <= DENSE_KERNEL_ELEMENTS:
             self._matrix = _gather_matrix(self)
+        elif lag_len < self.fft_len:
+            self.lag_len = lag_len
 
     @property
     def gram(self):
@@ -137,31 +178,38 @@ class MeasurementOperator:
 
     def apply(self, x):
         """y = Phi x: one matrix-vector product, or one batched rfft over the p blocks."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.input_len,):
-            raise DimensionError(
-                f"expected input length {self.input_len}, got {x.shape}"
-            )
+        x = _checked(x, self.input_len, "input")
         if self._matrix is None:
             return _fft_apply(self, x)
         return self._matrix @ x
 
     def adjoint(self, y):
         """x = Phi^T y; exact adjoint of :meth:`apply`."""
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape != (self.output_len,):
-            raise DimensionError(
-                f"expected output length {self.output_len}, got {y.shape}"
-            )
+        y = _checked(y, self.output_len, "output")
         if self._matrix is None:
             return _fft_adjoint(self, y)
         return self._matrix.T @ y
 
     def gram_apply(self, x):
-        """Phi^T Phi x (folded only)."""
-        if self.variant is not Variant.FOLDED:
-            raise ParameterError("gram_apply is defined for the folded variant")
-        return self.adjoint(self.apply(x))
+        """Phi^T Phi x: through the lag spectrum when ``lag_len`` is set, else adjoint(apply(x)).
+
+        The lag spectrum is built on first use; two threads that race
+        there build the same bits.
+        """
+        if self.lag_len is None:
+            return self.adjoint(self.apply(x))
+        x = _checked(x, self.input_len, "input")
+        if self._lag_spectrum is None:
+            self._lag_spectrum = _lag_spectrum(self)
+        return _lag_gram_apply(self, x)
+
+
+def _checked(v, length, side):
+    """``v`` as float64; DimensionError unless its shape is (length,)."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (length,):
+        raise DimensionError(f"expected {side} length {length}, got {v.shape}")
+    return v
 
 
 def _fft_apply(op, x):
@@ -176,6 +224,48 @@ def _fft_adjoint(op, y):
     z = np.fft.rfft(y, n=op.fft_len)
     blocks = np.fft.irfft(np.conj(op._g_half) * z[None, :], n=op.fft_len, axis=1)
     return blocks[:, : op.dims.n].reshape(-1)
+
+
+def _signed_lags(op, k):
+    """Row k of the signed cross-correlation table, shape (p, 2n - 1).
+
+    Entry [l, d + n - 1] is ``lags[k, l, d mod L]`` for d in [-(n-1), n-1]
+    (:class:`LagGram`): one batched irfft of the p products conj(g_k) g_l.
+    """
+    n, g = op.dims.n, op._g_half
+    lags = np.fft.irfft(np.conj(g[k]) * g, n=op.fft_len, axis=-1)
+    return lags[:, np.arange(1 - n, n) % op.fft_len]
+
+
+def _lag_spectrum(op):
+    """H, shape (K//2 + 1, p, p): H[:, l, k] = rfft(_signed_lags(op, k)[l], K).
+
+    Built one row k at a time, so no (p, p, L) table is ever held.  Row k
+    of the lag table is column k of H, so that a frequency's p input
+    coefficients multiply H as one row vector.
+    """
+    p, lag_len = op.dims.p, op.lag_len
+    spectrum = np.empty((lag_len // 2 + 1, p, p), dtype=np.complex128)
+    for k in range(p):
+        spectrum[:, :, k] = np.fft.rfft(_signed_lags(op, k), n=lag_len, axis=-1).T
+    spectrum.setflags(write=False)
+    return spectrum
+
+
+def _lag_gram_apply(op, x):
+    """Phi^T Phi x through the lag spectrum, for a checked float64 ``x``.
+
+    Block k of the product is sum_l of x_l convolved with the signed lags
+    of (k, l), so on the length-K grid (K >= 2n - 1, no wrap) it is one
+    batched rfft of the p blocks, one p x p product per frequency and one
+    batched irfft.  The table starts at lag -(n-1), so output j sits at
+    position j + n - 1.
+    """
+    n, p, lag_len = op.dims.n, op.dims.p, op.lag_len
+    spec = np.fft.rfft(x.reshape(p, n), n=lag_len, axis=1)
+    prod = spec.T[:, None, :] @ op._lag_spectrum
+    blocks = np.fft.irfft(prod[:, 0, :].T, n=lag_len, axis=1)
+    return blocks[:, n - 1 : 2 * n - 1].reshape(-1)
 
 
 class LagGram:
@@ -195,17 +285,17 @@ class LagGram:
     at flat position ``row[(k, j)] + col[(l, i)]`` with per-index offsets
     row = k p (2n - 1) + j + n - 1 and col = l (2n - 1) - i, so each block
     row is one gather, with no modulo, and holds the bits of
-    ``eye - lags[...]``.
+    ``eye - lags[...]``.  The table is filled one row k at a time
+    (:func:`_signed_lags`, which also builds the lag spectrum).
     """
 
     def __init__(self, op):
-        g = op._g_half
-        n, p, fft_len = op.dims.n, op.dims.p, op.fft_len
-        lags = np.fft.irfft(np.conj(g)[:, None, :] * g[None, :, :], n=fft_len, axis=-1)
-        signed = lags[:, :, np.arange(1 - n, n) % fft_len]
-        eye = np.zeros_like(signed)
-        eye[np.arange(p), np.arange(p), n - 1] = 1.0
-        self._residual = (eye - signed).reshape(-1)
+        n, p = op.dims.n, op.dims.p
+        residual = np.zeros((p, p, 2 * n - 1))
+        residual[np.arange(p), np.arange(p), n - 1] = 1.0
+        for k in range(p):
+            residual[k] -= _signed_lags(op, k)
+        self._residual = residual.reshape(-1)
         k, j = np.divmod(np.arange(n * p), n)
         self._row = k * (p * (2 * n - 1)) + j + (n - 1)
         self._col = k * (2 * n - 1) - j

@@ -9,7 +9,8 @@
 * :func:`solve_iht` -- iterative hard thresholding
   x <- H_s(x - mu * Phi^T (Phi x - y)) at the fixed step mu = 1/||Phi||^2.
 * :func:`operator_norm_sq` -- ||Phi||^2, from the held Gram or by
-  Lanczos; it sets the FISTA and IHT steps.
+  Lanczos (on ``gram_apply`` where the operator has a lag spectrum); it
+  sets the FISTA and IHT steps.
 * :func:`solve_oracle_ls` -- least squares restricted to a known support;
   the information-unbeatable baseline.
 * :func:`reference_bpdn` -- slow, algorithmically independent solution of
@@ -18,18 +19,24 @@
 
 FISTA and IHT both take the gradient step z -> z - mu Phi^T (Phi z - y),
 an affine map M z + c with M = I - mu Phi^T Phi and c = mu Phi^T y.  Each
-solve builds it once (:func:`_step_map`) in one of two forms:
+solve builds it once (:func:`_step_map`) in one of three forms:
 
 * held Gram -- an operator that holds its Gram ``op.gram`` (a
   :class:`~sparsep.operators.MeasurementOperator` with input_len**2 <=
   GRAM_KERNEL_ELEMENTS) steps by one N x N matvec and one add, and
   ||Phi||^2 is ``eigvalsh(op.gram)[-1]``;
-* operator calls -- any other operator (the real-FFT kernel, the
-  frame-difference wrapper, a test hook) steps by one ``apply`` and one
-  ``adjoint``, and ||Phi||^2 comes from Lanczos.
+* lag spectrum -- a real-FFT-kernel operator whose lag length is below
+  its transform length (``op.lag_len`` is set) steps by one
+  ``gram_apply``, z - mu (Phi^T Phi z - Phi^T y), and Lanczos runs on
+  ``gram_apply`` too: at (256, 1024, 16) that is 105 us against 150
+  (folded) and 183 (linear) for the two calls it replaces;
+* operator calls -- any other operator (the dense kernel above N = 128,
+  the real-FFT kernel at K >= fft_len, the frame-difference wrapper, a
+  test hook) steps by one ``apply`` and one ``adjoint``, and ||Phi||^2
+  comes from Lanczos.
 
 FISTA then computes Phi x - y once per continuation stage, and IHT once,
-at return.  The bound sits at the measured crossover: folded operators,
+at return.  The Gram bound sits at the measured crossover: folded operators,
 best of 4 x 15 on a 2-vCPU VM (OpenBLAS on one thread), FISTA in
 microseconds per iteration and ||Phi||^2 in milliseconds:
 
@@ -60,8 +67,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog, minimize
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import BudgetError, DataError, DimensionError, ParameterError
 from .probes import is_finite, is_integer
@@ -129,21 +134,26 @@ def operator_norm_sq(op):
     """||Phi||^2 = lambda_max(Phi^T Phi).
 
     From ``eigvalsh(op.gram)`` when the operator holds its Gram, else by
-    Lanczos (ARPACK ``eigsh``): each Lanczos step is one ``apply`` and one
-    ``adjoint``, and the value is exact to rounding in a few dozen steps.
-    Deterministic: the start vector and ARPACK's restart vectors come from
-    a fixed seed, so every call on the same operator returns the same bits,
-    in any thread.
+    Lanczos (ARPACK ``eigsh``): each Lanczos step is one ``gram_apply``
+    when the operator has a lag spectrum (``op.lag_len``), else one
+    ``apply`` and one ``adjoint``, and the value is exact to rounding in a
+    few dozen steps.  Deterministic: the start vector and ARPACK's restart
+    vectors come from a fixed seed, so every call on the same operator
+    returns the same bits, in any thread.
     """
-    from . import rng
-
     gram = getattr(op, "gram", None)
     if gram is not None:
         return float(np.linalg.eigvalsh(gram)[-1])
-    n = op.input_len
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    def gram(v):
-        return op.adjoint(op.apply(v))
+    from . import rng
+
+    n = op.input_len
+    if getattr(op, "lag_len", None) is not None:
+        gram = op.gram_apply
+    else:
+        def gram(v):
+            return op.adjoint(op.apply(v))
 
     if n == 1:  # eigsh needs k < n
         return float(gram(np.ones(1))[0])
@@ -175,14 +185,19 @@ def _step_map(op, y, mu, corr=None):
 
     It is affine, M z + c with M = I - mu G and c = mu Phi^T y, so for an
     operator that holds its Gram G (``op.gram``) it is one N x N matvec
-    and one add; ``corr`` is Phi^T y when the caller holds it.  Any other
-    operator takes one ``apply`` and one ``adjoint`` per step.
+    and one add, and for one with a lag spectrum (``op.lag_len``) it is
+    z - mu (G z - Phi^T y) with one ``gram_apply``; ``corr`` is Phi^T y
+    when the caller holds it.  Any other operator takes one ``apply`` and
+    one ``adjoint`` per step.
     """
     gram = getattr(op, "gram", None)
-    if gram is None:
+    if gram is None and getattr(op, "lag_len", None) is None:
         return lambda z: z - mu * op.adjoint(op.apply(z) - y)
+    corr = op.adjoint(y) if corr is None else corr
+    if gram is None:
+        return lambda z: z - mu * (op.gram_apply(z) - corr)
     mat = np.eye(op.input_len) - mu * gram
-    c = mu * (op.adjoint(y) if corr is None else corr)
+    c = mu * corr
     return lambda z: mat @ z + c
 
 
@@ -384,6 +399,8 @@ def reference_bpdn(phi, y, eps, size_limit=64):
         raise ParameterError(f"epsilon must be >= 0, got {eps}")
     if np.linalg.norm(y) <= eps:
         return np.zeros(n)
+
+    from scipy.optimize import linprog, minimize
 
     lp = linprog(
         c=np.ones(2 * n),

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsep.budgets import BudgetError
-from sparsep.errors import DimensionError, ParameterError
+from sparsep.errors import DimensionError
 from sparsep.operators import (
     DENSE_KERNEL_ELEMENTS,
     LagGram,
@@ -165,11 +165,57 @@ class TestMatrixFree:
             op.apply(np.zeros(op.input_len + 1))
         with pytest.raises(DimensionError):
             op.adjoint(np.zeros(op.output_len - 1))
+        lags = linear_operator(generate_probes(ProblemDims(32, 4096, 2), 0))
+        assert lags.lag_len is not None
+        for bad in (op, lags):
+            with pytest.raises(DimensionError):
+                bad.gram_apply(np.zeros(bad.input_len - 1))
 
-    def test_gram_requires_folded(self, medium):
-        _, ps = medium
-        with pytest.raises(ParameterError):
-            linear_operator(ps).gram_apply(np.zeros(ps.dims.signal_len))
+
+@st.composite
+def _gram_apply_cases(draw):
+    """(operator, x) over every kernel: held Gram, dense, and real FFT on both
+    sides of K = next_fast_len(2n - 1) < fft_len, for both variants."""
+    kernel = draw(st.sampled_from(("held gram", "dense", "lags", "fft")))
+    variant = draw(st.sampled_from(Variant))
+    if kernel == "held gram":  # N <= 128
+        n = draw(st.integers(1, 16))
+        p = draw(st.integers(1, 128 // n))
+        m = draw(st.integers(n, 64))
+    elif kernel == "dense":  # N > 128, output_len * N <= DENSE_KERNEL_ELEMENTS
+        n = draw(st.integers(17, 32))
+        p = draw(st.integers(-(-129 // n), 8))
+        m = draw(st.integers(n, DENSE_KERNEL_ELEMENTS // (n * p) - n))
+    elif kernel == "lags":  # above DENSE_KERNEL_ELEMENTS with K < fft_len
+        n = draw(st.integers(1, 32))
+        p = draw(st.integers(1, 8))
+        low = DENSE_KERNEL_ELEMENTS // (n * p) + 1
+        m = draw(st.integers(low, low + 4096))
+    else:  # above DENSE_KERNEL_ELEMENTS with K >= fft_len
+        n = draw(st.integers(72, 128))
+        p = 16
+        low = max(n, DENSE_KERNEL_ELEMENTS // (n * p) + 1)
+        m = n if variant is Variant.LINEAR else draw(st.integers(low, 2 * n - 1))
+    op = MeasurementOperator(generate_probes(ProblemDims(n, m, p), draw(st.integers(0, 2**32))),
+                             variant)
+    assert (op._matrix is None) == (kernel in ("lags", "fft"))
+    assert (op.gram is not None) == (kernel == "held gram")
+    assert (op.lag_len is not None) == (kernel == "lags")
+    x = np.random.default_rng(draw(st.integers(0, 2**32))).standard_normal(op.input_len)
+    return op, x
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_gram_apply_cases())
+@example(case=(folded_operator(generate_probes(ProblemDims(1, 2**17 + 1, 1), 0)), np.ones(1)))
+@example(case=(linear_operator(generate_probes(ProblemDims(32, 4096, 2), 0)),
+               np.random.default_rng(1).standard_normal(64)))
+@example(case=(folded_operator(generate_probes(ProblemDims(128, 128, 16), 0)),
+               np.random.default_rng(2).standard_normal(2048)))  # K = 256 > fft_len = 128
+def test_gram_apply_equals_adjoint_apply(case):
+    op, x = case
+    expected = op.adjoint(op.apply(x))
+    assert np.linalg.norm(op.gram_apply(x) - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 _TINY = np.finfo(np.float64).tiny  # results below the normal range have no relative precision

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from sparsep import rng, solvers
 from sparsep.errors import BudgetError, DataError, DimensionError, ParameterError
@@ -367,6 +372,31 @@ def test_held_gram_step_makes_no_operator_calls_per_iteration(monkeypatch):
         assert len(iterations) == 4
 
 
+def test_lag_route_steps_by_one_gram_apply(monkeypatch):
+    # an FFT-kernel operator with K < fft_len runs Lanczos and every FISTA
+    # and IHT step through gram_apply: apply and adjoint make only Phi^T y
+    # and the residuals (one per FISTA stage, one at IHT's return)
+    op, y, s = _step_case(32, 4096, 2, 3, Variant.LINEAR)
+    calls = {}
+    for name in ("apply", "adjoint", "gram_apply"):
+        method = getattr(MeasurementOperator, name)
+
+        def counted(self, v, method=method, name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return method(self, v)
+
+        monkeypatch.setattr(MeasurementOperator, name, counted)
+    operator_norm_sq(op)
+    norm_steps = calls.pop("gram_apply")
+    assert norm_steps > 0 and not calls
+    res = solve_iht(op, y, s, SolverConfig())
+    assert calls == {"adjoint": 1, "apply": 1, "gram_apply": norm_steps + res.iterations}
+    calls.clear()
+    stages = _count_fista_stages(monkeypatch)
+    res = solve_bpdn(op, y, 0.0, SolverConfig())
+    assert calls == {"adjoint": 1, "apply": stages[0], "gram_apply": norm_steps + res.iterations}
+
+
 def _count_fista_stages(monkeypatch):
     """Count solve_bpdn's FISTA stages in the returned one-element list."""
     stages, fista = [0], solvers._fista
@@ -400,15 +430,21 @@ def _step_cases(draw):
 @example(case=_step_case(1, 3, 1, 0, Variant.LINEAR))  # N = 1: Lanczos runs no eigsh
 @example(case=_step_case(16, 64, 8, 3, Variant.FOLDED))  # N = 128: holds a Gram
 @example(case=_step_case(32, 64, 8, 3, Variant.LINEAR))  # N = 256: holds none
+@example(case=_step_case(32, 4096, 2, 3, Variant.FOLDED))  # real FFT, K = 64 < 4096
+@example(case=_step_case(32, 4096, 2, 3, Variant.LINEAR))  # real FFT, K = 64 < 4320
+@example(case=_step_case(96, 180, 8, 3, Variant.FOLDED))  # real FFT, K = 192 >= 180
 def test_gram_step_agrees_with_operator_calls(case):
-    # the held-Gram step and the operator-call step are one affine map, so
-    # the solves agree to rounding and stop alike
+    # the held-Gram step, the lag-spectrum step and the operator-call step
+    # are one affine map, so the solves agree to rounding and stop alike
     op, y, s = case
-    if op.input_len**2 <= GRAM_KERNEL_ELEMENTS:
+    if op._matrix is not None and op.input_len**2 <= GRAM_KERNEL_ELEMENTS:
         assert not op.gram.flags.writeable
         assert np.array_equal(op.gram, op._matrix.T @ op._matrix)
     else:
         assert op.gram is None
+    lag_len = next_fast_len(2 * op.dims.n - 1, real=True)
+    lags = op._matrix is None and lag_len < op.fft_len
+    assert op.lag_len == (lag_len if lags else None)
     calls = CountingOp(op)
     gram_sq, lanczos_sq = operator_norm_sq(op), operator_norm_sq(calls)
     assert abs(gram_sq - lanczos_sq) <= 1e-13 * lanczos_sq
@@ -419,6 +455,8 @@ def test_gram_step_agrees_with_operator_calls(case):
                   lambda o: solve_iht(o, y, s, SolverConfig())):
         held, called = solve(op), solve(calls)
         assert (held.converged, held.note) == (called.converged, called.note)
+        if lags:
+            assert held.iterations == called.iterations
         scale = float(np.linalg.norm(called.x_hat))
         assert np.linalg.norm(held.x_hat - called.x_hat) <= 1e-9 * scale
 
@@ -535,20 +573,26 @@ class TestOperatorNorm:
     @example(case=_norm_case(1, 4, 2, 0, Variant.LINEAR))
     @example(case=_norm_case(32, 48, 8, 5, Variant.FOLDED))  # N = 256: holds no Gram
     @example(case=_norm_case(32, 64, 8, 3, Variant.LINEAR))
+    @example(case=_norm_case(32, 4096, 2, 0, Variant.FOLDED))  # Lanczos on the lag spectrum
+    @example(case=_norm_case(32, 4096, 2, 0, Variant.LINEAR))
+    @example(case=_norm_case(96, 180, 8, 0, Variant.FOLDED))  # K >= fft_len: apply, adjoint
     def test_matches_dense_eigenvalue(self, case):
-        # drawn operators hold a Gram; CountingOp hides it, so Lanczos runs
+        # drawn operators hold a Gram; CountingOp hides it and any lag
+        # spectrum, so Lanczos runs on apply and adjoint
         op, dense = case
         expected = np.linalg.eigvalsh(dense.T @ dense)[-1]
         assert abs(operator_norm_sq(op) - expected) <= 1e-10 * expected
         assert abs(operator_norm_sq(CountingOp(op)) - expected) <= 1e-10 * expected
 
     def test_same_bits_across_calls_and_threads(self):
-        op = linear_operator(generate_probes(ProblemDims(32, 128, 8), 3))
-        first = operator_norm_sq(op)
-        with ThreadPoolExecutor(2) as pool:
-            values = list(pool.map(lambda _: operator_norm_sq(op), range(4)))
-        values.append(operator_norm_sq(op))
-        assert {np.float64(v).tobytes() for v in values} == {np.float64(first).tobytes()}
+        # the second operator builds its lag spectrum in whichever thread
+        # comes first
+        for dims in (ProblemDims(32, 128, 8), ProblemDims(32, 4096, 2)):
+            op = linear_operator(generate_probes(dims, 3))
+            with ThreadPoolExecutor(2) as pool:
+                values = list(pool.map(lambda _: operator_norm_sq(op), range(4)))
+            values.append(operator_norm_sq(op))
+            assert len({np.float64(v).tobytes() for v in values}) == 1
 
     def test_zero_operator(self):
         # ARPACK cannot start on a zero Gram; the norm is 0 all the same
@@ -802,3 +846,15 @@ def test_frozen_api_digest(case, dims):
 def test_frozen_api_flags(case, dims):
     flags = [(r.iterations, r.converged, r.note) for r in _frozen_api_results(case, dims)]
     assert flags == FROZEN_API_FLAGS[case, dims]
+
+
+def test_importing_sparsep_loads_no_optimizer_or_sparse_solver():
+    # scipy.optimize (reference_bpdn) and scipy.sparse.linalg (Lanczos) load
+    # on first use, so the CLI starts without them
+    src = str(Path(solvers.__file__).resolve().parents[1])
+    code = ("import sys, sparsep, sparsep.cli; "
+            "print(sorted({'scipy.optimize', 'scipy.sparse.linalg'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
