@@ -80,7 +80,7 @@ def _check_versioned(payload, path, what):
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: {what} must be a JSON object")
     version = payload.get("format_version")
-    if version != FORMAT_VERSION:
+    if not is_integer(version) or version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format_version {version!r}")
 
 

@@ -43,14 +43,14 @@ One apply plus one adjoint, in microseconds, best of 7 on a 2-vCPU VM
     folded    4194304  (256, 1024, 16)  179    2979
 
 An operator of the dense kernel with input_len**2 <= GRAM_KERNEL_ELEMENTS
-(N = input_len <= 128) also holds its Gram ``gram = matrix.T @ matrix``,
-read-only and built on first use; every other operator has ``gram =
-None``.  The solvers step FISTA and IHT through it, z -> (I - mu G) z +
-mu Phi^T y, in place of one apply and one adjoint, and read ||Phi||^2 as
-its largest eigenvalue in place of Lanczos (:mod:`sparsep.solvers`).  The
-bound is the measured crossover, folded operators, best of 15 on a
-2-vCPU VM: FISTA in microseconds per iteration, ||Phi||^2 in
-milliseconds, and building the Gram in milliseconds:
+(N = input_len <= 128) also holds its Gram ``gram = matrix.T @ matrix``;
+on every other operator ``gram`` is None.  The solvers step FISTA and IHT
+through it, z -> (I - mu G) z + mu Phi^T y, in place of one apply and one
+adjoint, and read ||Phi||^2 as its largest eigenvalue in place of Lanczos
+(:mod:`sparsep.solvers`).  The bound is the measured crossover, folded
+operators, best of 15 on a 2-vCPU VM (the one table of it; the solvers
+and the README cite it): FISTA in microseconds per iteration, ||Phi||^2
+and building the Gram in milliseconds:
 
     (n, m, p)       N    FISTA: calls   Gram    norm: Lanczos  eigvalsh   build
     (8, 12, 4)     32           13.5   10.0            0.42      0.044   0.004
@@ -61,19 +61,28 @@ milliseconds, and building the Gram in milliseconds:
     (32, 128, 8)  256           23.5   19.0            2.6       2.6     0.35
     (64, 256, 8)  512           58.1   79.4            2.9      14.5     2.2
 
-``gram_apply(x)`` is Phi^T Phi x on every operator.  On the real-FFT
-kernel it is p x p Toeplitz blocks, whose entries are the probes' signed
-cross-correlations at lags |d| < n (:class:`LagGram`), so at the lag
-length K = next_fast_len(2n - 1) they act as circular convolutions without
-wrap.  An operator of that kernel with K < fft_len sets ``lag_len = K``
-and computes gram_apply from its lag spectrum ``H = rfft(signed lags, K)``,
-shape (K//2 + 1, p, p), built on first use one circulant row at a time:
-one batched rfft of the p blocks, one p x p product per frequency and one
-batched irfft, all at length K.  Every other operator has ``lag_len =
-None`` and takes adjoint(apply(x)).  The solvers step FISTA and IHT, and
-run Lanczos, through gram_apply when ``lag_len`` is set
-(:mod:`sparsep.solvers`).  Phi^T Phi x in microseconds, both routes, and
-building H in milliseconds, best of 2 x 15 x 50 calls on a 2-vCPU VM:
+The other Gram views come from the (p, p, 2n - 1) signed-lag table:
+entry ((k, j), (l, i)) of Phi^T Phi is ``lags[k, l, (j - i) mod L]``,
+``lags[k, l] = irfft(conj(g_k) g_l)``, and only |j - i| < n occurs (no
+lag wraps in the linear variant, where L >= m + n - 1).  One row builder,
+:func:`_signed_lags`, makes the table a row k at a time, for two views:
+
+* the lag spectrum H = rfft(signed lags, K), shape (K//2 + 1, p, p), at
+  K = next_fast_len(2n - 1), where the p x p Toeplitz blocks act as
+  circular convolutions without wrap.  ``gram_apply(x)`` is Phi^T Phi x;
+  a real-FFT-kernel operator with K < fft_len sets ``lag_len = K`` and
+  computes it from H (one batched rfft of the p blocks, one p x p product
+  per frequency, one batched irfft), and the solvers step and run Lanczos
+  through it.  Every other operator has ``lag_len = None`` and takes
+  adjoint(apply(x)).
+* the residual table of I - Phi^T Phi, whose principal blocks
+  ``residual_blocks(idx)`` gathers for :mod:`sparsep.snorm`.
+
+These and ``gram`` are read-only and built on first use (:class:`_view`).
+The held Gram stays ``matrix.T @ matrix``: a gather from the table differs
+in the last bits, which the phase-transition pins read.  Phi^T Phi x in
+microseconds, both routes, and building H in milliseconds, best of 2 x 15
+x 50 calls on a 2-vCPU VM:
 
     variant  (n, m, p)        fft_len     K   calls   lags   build   route
     folded   (64, 256, 16)        256   128    54.0   33.3    0.77   lags
@@ -122,18 +131,39 @@ class Variant(enum.Enum):
     FOLDED = "folded"
 
 
+class _view:
+    """A read-only attribute that ``build(op)`` makes on first read and keeps.
+
+    Not functools.cached_property: before Python 3.12 it holds one lock per
+    property, shared by every instance, while a value is built, so threads
+    building the views of different operators take turns.  Threads that
+    race here build the same bits.
+    """
+
+    def __init__(self, build):
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, op, owner=None):
+        if op is None:
+            return self
+        if self.name not in op.__dict__:
+            op.__dict__[self.name] = self.build(op)
+        return op.__dict__[self.name]
+
+    def __set__(self, op, value):
+        raise AttributeError(f"{self.name} is read-only")
+
+
 class MeasurementOperator:
     """Operator handle for one variant, bound to a probe set.
 
     The variant sets ``fft_len`` and the circulant columns ``c``; the half
-    spectra and, for operators of at most DENSE_KERNEL_ELEMENTS entries,
-    the matrix that apply/adjoint multiply by come from ``c``, and for
-    input_len**2 <= GRAM_KERNEL_ELEMENTS so does the Gram of that matrix.
+    spectra, the matrix that apply/adjoint multiply by (at most
+    DENSE_KERNEL_ELEMENTS entries) and the Gram views all come from ``c``.
     ``lag_len`` is the lag length K on a real-FFT-kernel operator with K <
-    fft_len, and None on every other operator.
-    apply/adjoint/gram_apply are reentrant and allocate per call; the
-    operator is immutable apart from the Gram and lag spectrum it builds
-    on first use.
+    fft_len, and None on every other operator.  The methods are reentrant
+    and allocate per call; the operator is immutable apart from the views
+    it builds on first use.
     """
 
     def __init__(self, probes, variant):
@@ -154,27 +184,56 @@ class MeasurementOperator:
             self.c[:, : d.m] = probes.phi
         self.c.setflags(write=False)
         self._g_half = np.fft.rfft(self.c, axis=1)
-        self._matrix = self._gram = self._lag_spectrum = self.lag_len = None
+        self._matrix = self.lag_len = None
         lag_len = next_fast_len(2 * d.n - 1, real=True)
         if self.output_len * self.input_len <= DENSE_KERNEL_ELEMENTS:
             self._matrix = _gather_matrix(self)
         elif lag_len < self.fft_len:
             self.lag_len = lag_len
 
-    @property
+    @_view
     def gram(self):
-        """Phi^T Phi, read-only, when input_len**2 <= GRAM_KERNEL_ELEMENTS; else None.
+        """Phi^T Phi from the matrix when input_len**2 <= GRAM_KERNEL_ELEMENTS, else None."""
+        if self._matrix is None or self.input_len**2 > GRAM_KERNEL_ELEMENTS:
+            return None
+        gram = self._matrix.T @ self._matrix
+        gram.setflags(write=False)
+        return gram
 
-        Built from the matrix on first use, so operators that no solver
-        steps (the restricted-norm trials) never pay for it.  Two threads
-        that race here build the same bits.
+    @_view
+    def _lag_spectrum(self):
+        """H when ``lag_len`` is set, else None: H[:, l, k] = rfft(_signed_lags(self, k)[l], K).
+
+        Row k of the lag table is column k of H, so that a frequency's p
+        input coefficients multiply H as one row vector.
         """
-        small = self._matrix is not None and self.input_len**2 <= GRAM_KERNEL_ELEMENTS
-        if self._gram is None and small:
-            gram = self._matrix.T @ self._matrix
-            gram.setflags(write=False)
-            self._gram = gram
-        return self._gram
+        if self.lag_len is None:
+            return None
+        p, lag_len = self.dims.p, self.lag_len
+        spectrum = np.empty((lag_len // 2 + 1, p, p), dtype=np.complex128)
+        for k in range(p):
+            spectrum[:, :, k] = np.fft.rfft(_signed_lags(self, k), n=lag_len, axis=-1).T
+        spectrum.setflags(write=False)
+        return spectrum
+
+    @_view
+    def _residual(self):
+        """I - Phi^T Phi as a flat (p, p, 2n - 1) signed-lag table, with row and col offsets.
+
+        Entry ((k, j), (l, i)) sits at ``row[(k, j)] + col[(l, i)]``, row =
+        k p (2n - 1) + j + n - 1 and col = l (2n - 1) - i, so each block
+        row is one gather with no modulo.
+        """
+        n, p = self.dims.n, self.dims.p
+        table = np.zeros((p, p, 2 * n - 1))
+        table[np.arange(p), np.arange(p), n - 1] = 1.0
+        for k in range(p):
+            table[k] -= _signed_lags(self, k)
+        k, j = np.divmod(np.arange(n * p), n)
+        residual = table.reshape(-1), k * (p * (2 * n - 1)) + j + (n - 1), k * (2 * n - 1) - j
+        for a in residual:
+            a.setflags(write=False)
+        return residual
 
     def apply(self, x):
         """y = Phi x: one matrix-vector product, or one batched rfft over the p blocks."""
@@ -193,15 +252,31 @@ class MeasurementOperator:
     def gram_apply(self, x):
         """Phi^T Phi x: through the lag spectrum when ``lag_len`` is set, else adjoint(apply(x)).
 
-        The lag spectrum is built on first use; two threads that race
-        there build the same bits.
+        Block k of the product is sum_l of x_l convolved with the signed
+        lags of (k, l): on the length-K grid (K >= 2n - 1, no wrap), one
+        batched rfft of the p blocks, one p x p product per frequency and
+        one batched irfft.  The table starts at lag -(n-1), so output j
+        sits at position j + n - 1.
         """
         if self.lag_len is None:
             return self.adjoint(self.apply(x))
-        x = _checked(x, self.input_len, "input")
-        if self._lag_spectrum is None:
-            self._lag_spectrum = _lag_spectrum(self)
-        return _lag_gram_apply(self, x)
+        n, p, lag_len = self.dims.n, self.dims.p, self.lag_len
+        spec = np.fft.rfft(_checked(x, self.input_len, "input").reshape(p, n), n=lag_len, axis=1)
+        prod = spec.T[:, None, :] @ self._lag_spectrum
+        blocks = np.fft.irfft(prod[:, 0, :].T, n=lag_len, axis=1)
+        return blocks[:, n - 1 : 2 * n - 1].reshape(-1)
+
+    def residual_blocks(self, idx):
+        """Principal blocks (I - Phi^T Phi)[idx, idx] for indices of shape (..., s)."""
+        table, row, col = self._residual
+        idx = np.asarray(idx)
+        row, col = row[idx], col[idx]
+        out = np.empty(idx.shape + idx.shape[-1:])
+        # row by row: a broadcast (..., s, s) index sum would allocate its
+        # index array and, past 8192 entries, two ufunc buffers besides
+        for i in range(idx.shape[-1]):
+            out[..., i, :] = table[row[..., i, None] + col]
+        return out
 
 
 def _checked(v, length, side):
@@ -230,86 +305,11 @@ def _signed_lags(op, k):
     """Row k of the signed cross-correlation table, shape (p, 2n - 1).
 
     Entry [l, d + n - 1] is ``lags[k, l, d mod L]`` for d in [-(n-1), n-1]
-    (:class:`LagGram`): one batched irfft of the p products conj(g_k) g_l.
+    (module docstring): one batched irfft of the p products conj(g_k) g_l.
     """
     n, g = op.dims.n, op._g_half
     lags = np.fft.irfft(np.conj(g[k]) * g, n=op.fft_len, axis=-1)
     return lags[:, np.arange(1 - n, n) % op.fft_len]
-
-
-def _lag_spectrum(op):
-    """H, shape (K//2 + 1, p, p): H[:, l, k] = rfft(_signed_lags(op, k)[l], K).
-
-    Built one row k at a time, so no (p, p, L) table is ever held.  Row k
-    of the lag table is column k of H, so that a frequency's p input
-    coefficients multiply H as one row vector.
-    """
-    p, lag_len = op.dims.p, op.lag_len
-    spectrum = np.empty((lag_len // 2 + 1, p, p), dtype=np.complex128)
-    for k in range(p):
-        spectrum[:, :, k] = np.fft.rfft(_signed_lags(op, k), n=lag_len, axis=-1).T
-    spectrum.setflags(write=False)
-    return spectrum
-
-
-def _lag_gram_apply(op, x):
-    """Phi^T Phi x through the lag spectrum, for a checked float64 ``x``.
-
-    Block k of the product is sum_l of x_l convolved with the signed lags
-    of (k, l), so on the length-K grid (K >= 2n - 1, no wrap) it is one
-    batched rfft of the p blocks, one p x p product per frequency and one
-    batched irfft.  The table starts at lag -(n-1), so output j sits at
-    position j + n - 1.
-    """
-    n, p, lag_len = op.dims.n, op.dims.p, op.lag_len
-    spec = np.fft.rfft(x.reshape(p, n), n=lag_len, axis=1)
-    prod = spec.T[:, None, :] @ op._lag_spectrum
-    blocks = np.fft.irfft(prod[:, 0, :].T, n=lag_len, axis=1)
-    return blocks[:, n - 1 : 2 * n - 1].reshape(-1)
-
-
-class LagGram:
-    """Phi^T Phi of an operator, indexed by lag.
-
-    On the operator's length-L transform grid, column (k, j) of Phi is the
-    circulant column c_k shifted by j, so entry ((k, j), (l, i)) of
-    Phi^T Phi is the circular cross-correlation ``lags[k, l, (j - i) mod L]``
-    with ``lags[k, l] = irfft(conj(g_k) g_l)`` over the operator's half
-    spectra ``g = rfft(c)``.  Folded: L = m.  Linear: L >= m + n - 1, so
-    no lag wraps.
-
-    Within-block offsets differ by d = j - i in [-(n-1), n-1], so the
-    residual I - Phi^T Phi is held as a signed-lag table of shape
-    (p, p, 2n - 1), entry [k, l, d + n - 1] = delta_kl delta_d0 -
-    lags[k, l, d mod L].  Entry ((k, j), (l, i)) of the residual then sits
-    at flat position ``row[(k, j)] + col[(l, i)]`` with per-index offsets
-    row = k p (2n - 1) + j + n - 1 and col = l (2n - 1) - i, so each block
-    row is one gather, with no modulo, and holds the bits of
-    ``eye - lags[...]``.  The table is filled one row k at a time
-    (:func:`_signed_lags`, which also builds the lag spectrum).
-    """
-
-    def __init__(self, op):
-        n, p = op.dims.n, op.dims.p
-        residual = np.zeros((p, p, 2 * n - 1))
-        residual[np.arange(p), np.arange(p), n - 1] = 1.0
-        for k in range(p):
-            residual[k] -= _signed_lags(op, k)
-        self._residual = residual.reshape(-1)
-        k, j = np.divmod(np.arange(n * p), n)
-        self._row = k * (p * (2 * n - 1)) + j + (n - 1)
-        self._col = k * (2 * n - 1) - j
-
-    def residual_blocks(self, idx):
-        """Principal blocks (I - Phi^T Phi)[idx, idx] for indices of shape (..., s)."""
-        idx = np.asarray(idx)
-        row, col = self._row[idx], self._col[idx]
-        out = np.empty(idx.shape + idx.shape[-1:])
-        # row by row: a broadcast (..., s, s) index sum would allocate its
-        # index array and, past 8192 entries, two ufunc buffers besides
-        for i in range(idx.shape[-1]):
-            out[..., i, :] = self._residual[row[..., i, None] + col]
-        return out
 
 
 def linear_operator(probes):

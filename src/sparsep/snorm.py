@@ -23,12 +23,12 @@ reproducible given its seed.  Each ascent step scores all s * (N - s)
 swaps, in (position, outside index) order with each candidate support
 sorted, and moves to the first strict maximum above the current value;
 restarts step in lockstep groups of as many as the bound holds
-(:func:`_swap_ascent`).  For delta_s,
-both modes read I - Phi^T Phi from the operator's signed-lag table
-(``operators.LagGram``), so no N x N matrix is held.  Shifting every index
-of a support by the same within-block offset leaves its lag-table block
-unchanged, so the exact tie-break returns a support with an index at
-offset 0.
+(:func:`_swap_ascent`).  For delta_s, both modes read I - Phi^T Phi
+from the folded operator's signed-lag residual table
+(``MeasurementOperator.residual_blocks``), so no N x N matrix is held.
+Shifting every index of a support by the same within-block offset leaves
+its block unchanged, so the exact tie-break returns a support with an
+index at offset 0.
 """
 
 from dataclasses import dataclass
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import budgets, rng
 from .errors import DimensionError, ParameterError
-from .operators import LagGram, folded_operator
+from .operators import folded_operator
 from .operators import build_dense_folded  # noqa: F401  perfbench/tracer.py wraps it by name
 
 EXACT = "exact"
@@ -298,10 +298,10 @@ def rip_delta(probes, s, mode=EXACT, trials=100, seed=0):
     The returned delta certifies (1 - delta)||x||^2 <= ||Phi x||^2 <=
     (1 + delta)||x||^2 for every s-sparse x (with equality attainable on
     the argmax support in exact mode).  Both modes read the folded
-    operator's lag table; only exact mode is budget-gated, by its
+    operator's residual table; only exact mode is budget-gated, by its
     enumeration.
     """
-    blocks = LagGram(folded_operator(probes)).residual_blocks
+    blocks = folded_operator(probes).residual_blocks
     size = probes.dims.signal_len
     if mode == EXACT:
         return _enumerate(blocks, size, True, s)

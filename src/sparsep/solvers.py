@@ -36,27 +36,14 @@ solve builds it once (:func:`_step_map`) in one of three forms:
   comes from Lanczos.
 
 FISTA then computes Phi x - y once per continuation stage, and IHT once,
-at return.  The Gram bound sits at the measured crossover: folded operators,
-best of 4 x 15 on a 2-vCPU VM (OpenBLAS on one thread), FISTA in
-microseconds per iteration and ||Phi||^2 in milliseconds:
-
-    (n, m, p)       N    FISTA: calls   Gram    norm: Lanczos  eigvalsh
-    (8, 12, 4)     32           10.5    7.8            0.41      0.040
-    (8, 24, 4)     32           11.0    7.7            0.42      0.043
-    (16, 64, 4)    64           11.8    8.1            0.99      0.16
-    (16, 32, 8)   128           11.8    9.3            0.61      0.58
-    (32, 48, 8)   256           15.8   18.9            0.77      2.7
-    (32, 128, 8)  256           18.9   16.0            2.3       2.4
-    (64, 256, 8)  512           48.8   67.9            2.8      13.9
-
-The Gram costs N^2 per step against about 2 m N for the two calls, so above
-N = 128 it wins only on tall operators, and its eigvalsh loses to Lanczos.
-The operator builds its Gram on first use: 0.004 ms at N = 32 and 0.05 ms
-at N = 128.  At N <= 128 an iteration is about ten numpy calls on short
-vectors, so their overhead sets its cost.  Every product in the loops is
-``@``, not ``ndarray.dot`` or ``np.linalg.norm`` (which calls ``dot``):
-``dot`` releases the GIL on each call, and two experiment threads that
-re-take it that often ran slower than with ``@``.
+at return.  The Gram bound sits at the measured crossover (the table in
+:mod:`sparsep.operators`).  The Gram costs N^2 per step against about
+2 m N for the two calls, so above N = 128 it wins only on tall operators,
+and its eigvalsh loses to Lanczos.  At N <= 128 an iteration is about ten
+numpy calls on short vectors, so their overhead sets its cost.  Every
+product in the loops is ``@``, not ``ndarray.dot`` or ``np.linalg.norm``
+(which calls ``dot``): ``dot`` releases the GIL on each call, and two
+experiment threads that re-take it that often ran slower than with ``@``.
 
 Solvers accept any operator exposing apply/adjoint/input_len/output_len,
 and a finite y that is zero or has ||y||^2 a normal float64 (DataError

@@ -45,6 +45,16 @@ def test_unknown_version_rejected(tmp_path):
     path.write_text('{"format_version": 2, "kind": "probes"}\n1.0\n')
     with pytest.raises(FormatError):
         fileio.read_vector_file(path)
+    # JSON true and 1.0 compare equal to 1 in Python but are not version 1
+    fileio.write_channels(path, n=1, p=1, h=[1.0])
+    channels = path.read_text()
+    manifest = tmp_path / "manifest.json"
+    for version in ("true", "1.0"):
+        path.write_text(channels.replace('"format_version": 1', f'"format_version": {version}'))
+        manifest.write_text(f'{{"format_version": {version}, "kind": "run_manifest"}}\n')
+        for read, bad in ((fileio.read_channels, path), (fileio.read_manifest, manifest)):
+            with pytest.raises(FormatError, match="unsupported format_version"):
+                read(bad)
 
 
 def test_wrong_kind_rejected(tmp_path):

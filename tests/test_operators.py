@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +10,6 @@ from sparsep.budgets import BudgetError
 from sparsep.errors import DimensionError
 from sparsep.operators import (
     DENSE_KERNEL_ELEMENTS,
-    LagGram,
     MeasurementOperator,
     Variant,
     _fft_adjoint,
@@ -218,6 +220,63 @@ def test_gram_apply_equals_adjoint_apply(case):
     assert np.linalg.norm(op.gram_apply(x) - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+@settings(max_examples=40, deadline=None)
+@given(case=_gram_apply_cases(), seed=st.integers(0, 2**32))
+@example(case=(linear_operator(generate_probes(ProblemDims(32, 4096, 2), 0)), None), seed=0)
+@example(case=(folded_operator(generate_probes(ProblemDims(128, 128, 16), 0)), None), seed=1)
+def test_residual_blocks_equal_gram_apply(case, seed):
+    # the residual table against Phi^T Phi e_j on every kernel, the real-FFT
+    # kernel included, where no matrix is held to compare with
+    op = case[0]
+    g = np.random.default_rng(seed)
+    support = g.choice(op.input_len, size=g.integers(1, min(8, op.input_len), endpoint=True),
+                       replace=False)
+    columns = np.stack([op.gram_apply(np.eye(1, op.input_len, j)[0]) for j in support], axis=1)
+    expected = np.eye(support.size) - columns[support]
+    scale = max(1.0, np.max(np.abs(columns)))
+    assert np.max(np.abs(op.residual_blocks(support) - expected)) <= 1e-12 * scale
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=_gram_apply_cases())
+def test_views_are_read_only(case):
+    # each Gram view is built once, on first read, and can be neither
+    # written nor replaced
+    op = case[0]
+    for name in ("gram", "_lag_spectrum", "_residual"):
+        view = getattr(op, name)
+        assert getattr(op, name) is view
+        with pytest.raises(AttributeError):
+            setattr(op, name, view)
+    assert (op._lag_spectrum is not None) == (op.lag_len is not None)
+    for array in (op.gram, op._lag_spectrum, *op._residual):
+        if array is not None:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
+
+
+def test_threads_that_race_build_the_same_views():
+    # more threads than cores read each view of a fresh operator at once;
+    # whichever build each thread sees, it holds the same bits
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for op in (folded_operator(generate_probes(ProblemDims(8, 24, 4), 1)),
+                   linear_operator(generate_probes(ProblemDims(32, 4096, 2), 1))):
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(lambda: (op.gram, op._lag_spectrum, *op._residual))
+                           for _ in range(8)]
+                seen = [f.result(timeout=60) for f in futures]
+            kept = (op.gram, op._lag_spectrum, *op._residual)
+            for views in seen:
+                for view, final in zip(views, kept):
+                    assert (view is None) == (final is None)
+                    assert view is None or view.tobytes() == final.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 _TINY = np.finfo(np.float64).tiny  # results below the normal range have no relative precision
 
 
@@ -316,7 +375,7 @@ def test_lag_gram_equals_dense_residual(n, extra, p, seed, variant):
     # the full support reads the whole residual I - A^T A from the lag table
     op = MeasurementOperator(generate_probes(ProblemDims(n, n + extra, p), seed), variant)
     dense = (build_dense_folded if variant is Variant.FOLDED else build_dense_linear)(op.probes)
-    residual = LagGram(op).residual_blocks(np.arange(n * p))
+    residual = op.residual_blocks(np.arange(n * p))
     assert np.max(np.abs(residual - (np.eye(n * p) - dense.T @ dense))) <= 1e-12
 
 

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from sparsep import rng, snorm
 from sparsep.errors import BudgetError, DimensionError, ParameterError
 from sparsep.operators import (
-    LagGram,
+    MeasurementOperator,
     build_dense_folded,
     build_dense_linear,
     folded_operator,
@@ -254,7 +254,7 @@ class TestRipDelta:
         phi = build_dense_folded(ps)
         z = np.eye(d.signal_len) - phi.T @ phi
         sup = np.array([0, 2, 5])
-        block = LagGram(folded_operator(ps)).residual_blocks(sup)
+        block = folded_operator(ps).residual_blocks(sup)
         assert np.max(np.abs(block - z[np.ix_(sup, sup)])) < 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -276,7 +276,7 @@ class TestRipDelta:
         sups = np.array([
             data.draw(st.permutations(range(n * p)))[:s] for _ in range(3)
         ])
-        blocks = LagGram(operator(ps)).residual_blocks(sups)
+        blocks = operator(ps).residual_blocks(sups)
         assert blocks.shape == (3, s, s)
         for sup, block in zip(sups, blocks):
             assert np.max(np.abs(block - z[np.ix_(sup, sup)])) <= 1e-12
@@ -513,14 +513,14 @@ class TestLockstep:
         # a call holds at most _BLOCK_ENTRIES block entries, or one
         # restart's first step where that is larger
         sizes = []
-        original = LagGram.residual_blocks
+        original = MeasurementOperator.residual_blocks
 
         def recording(self, idx):
             out = original(self, idx)
             sizes.append(out.size)
             return out
 
-        monkeypatch.setattr(LagGram, "residual_blocks", recording)
+        monkeypatch.setattr(MeasurementOperator, "residual_blocks", recording)
         probes = generate_probes(ProblemDims(*dims), 7)
         size = probes.dims.signal_len
         limit = max(snorm._BLOCK_ENTRIES, restart_entries(size, s))
