@@ -16,7 +16,8 @@ Four experiment kinds share one config/record format and one runner,
 * coded_aperture   -- phase transition preset with one receiver and
   subimage semantics: p subimages of n pixels onto an m-pixel detector,
   PSNR recorded, optional sparsity in block differences (consecutive
-  frames).
+  frames), solved through the folded operator on the difference probes
+  (:func:`_difference_probes`).
 
 rip_scaling adds the slope ``fits`` to the aggregates and stability adds
 ``stability_fit``; :func:`replay_trial` re-runs any one trial.
@@ -41,7 +42,7 @@ import numpy as np
 from . import rng
 from .errors import BudgetError, DataError, ParameterError
 from .operators import folded_operator, linear_operator
-from .probes import ProblemDims, _check_seed, generate_probes, is_finite, is_integer
+from .probes import ProblemDims, ProbeSet, _check_seed, generate_probes, is_finite, is_integer
 from .snorm import EXACT, RANDOMIZED, rip_delta
 from .solvers import SolverConfig, solve_bpdn, solve_iht, solve_oracle_ls
 
@@ -59,7 +60,8 @@ KINDS = tuple(_UNREAD)
 # Change it with any change that moves trial bits, so that ``--resume``
 # never mixes rows of two versions.
 NUMERICS = ("rfft-kernel/fista-az-by-linearity/lanczos-norm/lag-gram-delta/dense-below-2**17"
-            "/circulant-column-spectra/closed-form-snorm-3x3/held-gram-step/lag-spectrum-step")
+            "/circulant-column-spectra/closed-form-snorm-3x3/held-gram-step/lag-spectrum-step"
+            "/gram-apply-step")
 METHODS = ("bpdn", "iht", "oracle")
 _GRIDS = ("n_grid", "m_grid", "p_grid", "s_grid", "epsilon_grid")
 
@@ -218,32 +220,18 @@ def _tail_term(h, s):
 
 
 def _block_cumsum(v, p, n):
+    """The image x of frame differences c: x_k = c_0 + ... + c_k over the p blocks."""
     return np.cumsum(v.reshape(p, n), axis=0).reshape(-1)
 
 
-def _block_cumsum_adjoint(v, p, n):
-    return np.cumsum(v.reshape(p, n)[::-1], axis=0)[::-1].reshape(-1)
+def _difference_probes(probes):
+    """The probes psi_j = phi_j + ... + phi_{p-1} that see frame differences.
 
-
-class _FrameDifferenceOperator:
-    """Measurement operator composed with the block-cumsum synthesis.
-
-    Solving in these coordinates makes sparsity in consecutive-block
-    differences recoverable: x = cumsum(c) over blocks, c sparse.
+    sum_k phi_k * x_k = sum_j psi_j * c_j for x = _block_cumsum(c), so the
+    operator on psi measures c as the one on ``probes`` measures x.  The
+    set keeps the drawn set's seed, which regenerates phi, not psi.
     """
-
-    def __init__(self, base, p, n):
-        self._base = base
-        self._p = p
-        self._n = n
-        self.input_len = base.input_len
-        self.output_len = base.output_len
-
-    def apply(self, c):
-        return self._base.apply(_block_cumsum(np.asarray(c, float), self._p, self._n))
-
-    def adjoint(self, y):
-        return _block_cumsum_adjoint(self._base.adjoint(y), self._p, self._n)
+    return ProbeSet(probes.dims, probes.seed, np.cumsum(probes.phi[::-1], axis=0)[::-1])
 
 
 def _solve(cfg, op, y, gp, true_support):
@@ -298,17 +286,20 @@ def _recovery_trial(cfg, gi, gp, trial, coded=False):
     start = time.perf_counter()
     trial_seed = rng.derive_seed(cfg.base_seed, gi, trial)
     dims = ProblemDims(gp.n, gp.m, gp.p)
-    op = folded_operator(generate_probes(dims, rng.derive_seed(trial_seed, 1)))
+    probes = generate_probes(dims, rng.derive_seed(trial_seed, 1))
     target = rng.sparse_channel(
         rng.derive_seed(trial_seed, 2), rng.derive_seed(trial_seed, 3), dims.signal_len, gp.s
     )
     if coded and cfg.block_difference:
-        # target holds sparse frame differences; the image is their block cumsum
+        # target holds sparse frame differences; the image is their block
+        # cumsum, measured through the difference probes (whose seed
+        # regenerates the drawn probes, not them)
+        op = folded_operator(_difference_probes(probes))
         image = functools.partial(_block_cumsum, p=gp.p, n=gp.n)
-        op = _FrameDifferenceOperator(op, gp.p, gp.n)
         return _recover_and_score(
             cfg, gi, gp, trial, start, op, target, image(target), to_image=image, psnr=True
         )
+    op = folded_operator(probes)
     return _recover_and_score(cfg, gi, gp, trial, start, op, target, target, psnr=coded)
 
 

@@ -72,9 +72,10 @@ lag wraps in the linear variant, where L >= m + n - 1).  One row builder,
   circular convolutions without wrap.  ``gram_apply(x)`` is Phi^T Phi x;
   a real-FFT-kernel operator with K < fft_len sets ``lag_len = K`` and
   computes it from H (one batched rfft of the p blocks, one p x p product
-  per frequency, one batched irfft), and the solvers step and run Lanczos
-  through it.  Every other operator has ``lag_len = None`` and takes
-  adjoint(apply(x)).
+  per frequency, one batched irfft).  Every other operator has ``lag_len
+  = None`` and takes adjoint(apply(x)).  The solvers step and run
+  Lanczos through ``gram_apply`` on every operator without a held Gram,
+  so this rule is the one place the route is chosen.
 * the residual table of I - Phi^T Phi, whose principal blocks
   ``residual_blocks(idx)`` gathers for :mod:`sparsep.snorm`.
 

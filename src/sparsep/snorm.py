@@ -41,6 +41,7 @@ from . import budgets, rng
 from .errors import DimensionError, ParameterError
 from .operators import folded_operator
 from .operators import build_dense_folded  # noqa: F401  perfbench/tracer.py wraps it by name
+from .probes import is_integer
 
 EXACT = "exact"
 RANDOMIZED = "randomized_lower_bound"
@@ -161,8 +162,8 @@ def _norms_3x3(stack):
 
 
 def _check_args(n, s):
-    if s < 1:
-        raise ParameterError(f"s must be >= 1, got {s}")
+    if not is_integer(s) or s < 1:
+        raise ParameterError(f"s must be an integer >= 1, got {s!r}")
     if s > n:
         raise DimensionError(f"s={s} exceeds matrix size {n}")
 
@@ -224,8 +225,8 @@ def _swap_ascent(blocks, size, symmetric, s, trials, seed, swap_cap_factor=5):
     a time.
     """
     _check_args(size, s)
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    if not is_integer(trials) or trials < 1:
+        raise ParameterError(f"trials must be an integer >= 1, got {trials!r}")
     cap = swap_cap_factor * s * size
     group = max(1, _BLOCK_ENTRIES // ((s * (size - s) + 1) * s * s))
     best_value = -1.0

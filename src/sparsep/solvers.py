@@ -9,8 +9,7 @@
 * :func:`solve_iht` -- iterative hard thresholding
   x <- H_s(x - mu * Phi^T (Phi x - y)) at the fixed step mu = 1/||Phi||^2.
 * :func:`operator_norm_sq` -- ||Phi||^2, from the held Gram or by
-  Lanczos (on ``gram_apply`` where the operator has a lag spectrum); it
-  sets the FISTA and IHT steps.
+  Lanczos on ``gram_apply``; it sets the FISTA and IHT steps.
 * :func:`solve_oracle_ls` -- least squares restricted to a known support;
   the information-unbeatable baseline.
 * :func:`reference_bpdn` -- slow, algorithmically independent solution of
@@ -19,21 +18,17 @@
 
 FISTA and IHT both take the gradient step z -> z - mu Phi^T (Phi z - y),
 an affine map M z + c with M = I - mu Phi^T Phi and c = mu Phi^T y.  Each
-solve builds it once (:func:`_step_map`) in one of three forms:
+solve builds it once (:func:`_step_map`) in one of two forms:
 
 * held Gram -- an operator that holds its Gram ``op.gram`` (a
   :class:`~sparsep.operators.MeasurementOperator` with input_len**2 <=
   GRAM_KERNEL_ELEMENTS) steps by one N x N matvec and one add, and
   ||Phi||^2 is ``eigvalsh(op.gram)[-1]``;
-* lag spectrum -- a real-FFT-kernel operator whose lag length is below
-  its transform length (``op.lag_len`` is set) steps by one
-  ``gram_apply``, z - mu (Phi^T Phi z - Phi^T y), and Lanczos runs on
-  ``gram_apply`` too: at (256, 1024, 16) that is 105 us against 150
-  (folded) and 183 (linear) for the two calls it replaces;
-* operator calls -- any other operator (the dense kernel above N = 128,
-  the real-FFT kernel at K >= fft_len, the frame-difference wrapper, a
-  test hook) steps by one ``apply`` and one ``adjoint``, and ||Phi||^2
-  comes from Lanczos.
+* ``gram_apply`` -- any other operator steps by z - mu (Phi^T Phi z -
+  Phi^T y) with one ``gram_apply``, and ||Phi||^2 comes from Lanczos on
+  ``gram_apply``.  The operator picks its kernel for Phi^T Phi z (the lag
+  spectrum or one ``apply`` and one ``adjoint``; the table in
+  :mod:`sparsep.operators`).
 
 FISTA then computes Phi x - y once per continuation stage, and IHT once,
 at return.  The Gram bound sits at the measured crossover (the table in
@@ -45,9 +40,10 @@ product in the loops is ``@``, not ``ndarray.dot`` or ``np.linalg.norm``
 (which calls ``dot``): ``dot`` releases the GIL on each call, and two
 experiment threads that re-take it that often ran slower than with ``@``.
 
-Solvers accept any operator exposing apply/adjoint/input_len/output_len,
-and a finite y that is zero or has ||y||^2 a normal float64 (DataError
-"rescale y" otherwise: the norms the stops read would under/overflow).
+Solvers accept any operator exposing
+apply/adjoint/gram_apply/input_len/output_len, and a finite y that is
+zero or has ||y||^2 a normal float64 (DataError "rescale y" otherwise:
+the norms the stops read would under/overflow).
 """
 
 import math
@@ -121,9 +117,7 @@ def operator_norm_sq(op):
     """||Phi||^2 = lambda_max(Phi^T Phi).
 
     From ``eigvalsh(op.gram)`` when the operator holds its Gram, else by
-    Lanczos (ARPACK ``eigsh``): each Lanczos step is one ``gram_apply``
-    when the operator has a lag spectrum (``op.lag_len``), else one
-    ``apply`` and one ``adjoint``, and the value is exact to rounding in a
+    Lanczos (ARPACK ``eigsh``) on ``gram_apply``, exact to rounding in a
     few dozen steps.  Deterministic: the start vector and ARPACK's restart
     vectors come from a fixed seed, so every call on the same operator
     returns the same bits, in any thread.
@@ -135,13 +129,7 @@ def operator_norm_sq(op):
 
     from . import rng
 
-    n = op.input_len
-    if getattr(op, "lag_len", None) is not None:
-        gram = op.gram_apply
-    else:
-        def gram(v):
-            return op.adjoint(op.apply(v))
-
+    n, gram = op.input_len, op.gram_apply
     if n == 1:  # eigsh needs k < n
         return float(gram(np.ones(1))[0])
     v0 = rng.gaussians(_NORM_SEED, n)
@@ -172,14 +160,10 @@ def _step_map(op, y, mu, corr=None):
 
     It is affine, M z + c with M = I - mu G and c = mu Phi^T y, so for an
     operator that holds its Gram G (``op.gram``) it is one N x N matvec
-    and one add, and for one with a lag spectrum (``op.lag_len``) it is
-    z - mu (G z - Phi^T y) with one ``gram_apply``; ``corr`` is Phi^T y
-    when the caller holds it.  Any other operator takes one ``apply`` and
-    one ``adjoint`` per step.
+    and one add, and for any other it is z - mu (G z - Phi^T y) with one
+    ``gram_apply``; ``corr`` is Phi^T y when the caller holds it.
     """
     gram = getattr(op, "gram", None)
-    if gram is None and getattr(op, "lag_len", None) is None:
-        return lambda z: z - mu * op.adjoint(op.apply(z) - y)
     corr = op.adjoint(y) if corr is None else corr
     if gram is None:
         return lambda z: z - mu * (op.gram_apply(z) - corr)
@@ -343,8 +327,14 @@ def solve_iht(op, y, s, cfg):
 
 
 def solve_oracle_ls(op, y, support):
-    """Least squares on a known support (minimum-norm if rank deficient)."""
+    """Least squares on a known support (minimum-norm if rank deficient).
+
+    ``support`` holds integer indices; ParameterError for any other entry.
+    """
     y = _check_y(op, y)
+    support = list(support)
+    if not all(is_integer(i) for i in support):
+        raise ParameterError(f"support entries must be integers, got {support!r}")
     support = np.asarray(sorted(set(int(i) for i in support)), dtype=int)
     if support.size > op.output_len:
         raise DimensionError(

@@ -5,11 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from sparsep import rng
 from sparsep.errors import DataError, ParameterError
 from sparsep.experiments import (
     ExperimentConfig,
     _aggregate,
+    _difference_probes,
     _point_summary,
     complete_points,
     grid_points,
@@ -17,6 +21,8 @@ from sparsep.experiments import (
     run_experiment,
 )
 from sparsep.fileio import config_hash, write_trials_csv
+from sparsep.operators import MeasurementOperator, Variant
+from sparsep.probes import ProblemDims, generate_probes
 from sparsep.solvers import SolverConfig
 
 
@@ -369,6 +375,37 @@ class TestCodedAperture:
         assert record.aggregates["per_point"][0]["success_rate"] >= 0.7
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 16), extra=st.integers(0, 48), p=st.integers(1, 8),
+       seed=st.integers(0, 2**64 - 1), variant=st.sampled_from(Variant))
+@example(n=8, extra=16, p=4, seed=3, variant=Variant.FOLDED)  # holds its Gram
+@example(n=32, extra=32, p=8, seed=3, variant=Variant.LINEAR)  # dense, N = 256
+@example(n=32, extra=4064, p=2, seed=3, variant=Variant.FOLDED)  # lag spectrum, K = 64
+@example(n=96, extra=84, p=8, seed=3, variant=Variant.FOLDED)  # real FFT, K = 192 >= 180
+def test_difference_probes_measure_frame_differences(n, extra, p, seed, variant):
+    # the operator on the difference probes is Phi C, with C the block
+    # cumsum that maps frame differences to the image: apply is Phi C,
+    # adjoint C^T Phi^T, and the Gram (held or gram_apply) C^T Phi^T Phi C
+    probes = generate_probes(ProblemDims(n, n + extra, p), seed)
+    base = MeasurementOperator(probes, variant)
+    op = MeasurementOperator(_difference_probes(probes), variant)
+    assert op.probes.seed == probes.seed
+
+    def cumsum(v):
+        return np.cumsum(v.reshape(p, n), axis=0).reshape(-1)
+
+    def cumsum_adjoint(v):
+        return np.cumsum(v.reshape(p, n)[::-1], axis=0)[::-1].reshape(-1)
+
+    c = rng.gaussians(rng.derive_seed(seed, 1), n * p)
+    v = rng.gaussians(rng.derive_seed(seed, 2), op.output_len)
+    gram_c = op.gram_apply(c) if op.gram is None else op.gram @ c
+    for got, want in ((op.apply(c), base.apply(cumsum(c))),
+                      (op.adjoint(v), cumsum_adjoint(base.adjoint(v))),
+                      (gram_c, cumsum_adjoint(base.gram_apply(cumsum(c))))):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_coded_aperture_preset_calibrated_rate():
     # p=4 subimages of n=16 pixels, s=6, detector m=48: calibrated run
     # clears the 0.8 bar with margin (seeded rate is 1.0)
@@ -401,7 +438,11 @@ def test_coded_aperture_preset_calibrated_rate():
 # phase_transition_iht 2.5e-16 and 4.8e-9, stability 8.6e-16 and 2.3e-9,
 # coded_aperture 2.0e-15 and 4.7e-9, coded_aperture_block_difference
 # 1.3e-16 and 3.2e-10; the relative errors are 1e-8 to 1e-6, so their last
-# bits move most).
+# bits move most).  coded_aperture_block_difference alone was re-recorded
+# when its operator became the folded operator on the difference probes,
+# stepping through its held Gram, in place of a wrapper that composed the
+# drawn operator with the block cumsum (FROZEN_RECORD_FLAGS held; largest
+# relative move of x_hat 1.3e-15, of relative_error 1.2e-9).
 FROZEN_RECORDS = {
     "phase_transition": (
         dict(kind="phase_transition", n_grid=(4,), m_grid=(8,), p_grid=(2,), s_grid=(1, 2),
@@ -436,8 +477,8 @@ FROZEN_RECORDS = {
     "coded_aperture_block_difference": (
         dict(kind="coded_aperture", n_grid=(4,), m_grid=(8,), p_grid=(2,), s_grid=(2,),
              trials=2, base_seed=12, block_difference=True),
-        "7ae0d41a43a8958f3e599cd18273163469e79535de4538a39d1bf92db64d4782",
-        "74130523e3fec5933cb2ad55231b8bc03bf74cf387d044fe3c5ffcd736aff8ed",
+        "39721a69fb81a688d9805a80ca61c45b142de30e16311bf2cd61328229ba7174",
+        "73d0e2c1ffb6db4914986034bf02308733119adc5053a24e405f37710cdda3d4",
     ),
 }
 

@@ -322,6 +322,19 @@ class TestRipDelta:
         with pytest.raises(ParameterError):
             rip_delta(ps, 2, mode="randomized")
 
+    @pytest.mark.parametrize("mode", [EXACT, RANDOMIZED])
+    @pytest.mark.parametrize("s", [2.0, 2.5, True, "2"])
+    def test_non_integer_s_rejected(self, mode, s):
+        ps = generate_probes(ProblemDims(4, 16, 2), 42)
+        with pytest.raises(ParameterError, match="integer"):
+            rip_delta(ps, s, mode=mode)
+
+    @pytest.mark.parametrize("trials", [2.0, 2.5, True, "2"])
+    def test_non_integer_trials_rejected(self, trials):
+        ps = generate_probes(ProblemDims(4, 16, 2), 42)
+        with pytest.raises(ParameterError, match="integer"):
+            rip_delta(ps, 2, mode=RANDOMIZED, trials=trials)
+
 
 def test_exact_tie_break_is_first_lexicographic_support():
     # identity: every support attains the max; the first one must win

@@ -13,7 +13,7 @@ from scipy.fft import next_fast_len
 
 from sparsep import rng, solvers
 from sparsep.errors import BudgetError, DataError, DimensionError, ParameterError
-from sparsep.experiments import _FrameDifferenceOperator
+from sparsep.experiments import _difference_probes
 from sparsep.operators import (
     GRAM_KERNEL_ELEMENTS,
     MeasurementOperator,
@@ -49,6 +49,9 @@ class IdentityOp:
     def adjoint(self, y):
         return np.asarray(y, dtype=float).copy()
 
+    def gram_apply(self, x):
+        return self.adjoint(self.apply(x))
+
 
 class DenseOp:
     """Test hook: Phi is the matrix ``a``."""
@@ -62,6 +65,9 @@ class DenseOp:
 
     def adjoint(self, y):
         return self.a.T @ y
+
+    def gram_apply(self, x):
+        return self.adjoint(self.apply(x))
 
 
 def sparse_instance(d, seed, s, amp_seed_offset=1000):
@@ -293,8 +299,9 @@ class TestIHT:
 class CountingOp:
     """Test hook: forwards to ``base`` and counts apply and adjoint calls.
 
-    It hides the Gram of ``base``, so the solvers step through operator
-    calls, unless ``keep_gram`` is set.
+    It hides the Gram and the lag spectrum of ``base``: the solvers step
+    through its ``gram_apply``, one counted apply and one counted adjoint,
+    unless ``keep_gram`` is set.
     """
 
     def __init__(self, base, keep_gram=False):
@@ -311,11 +318,13 @@ class CountingOp:
         self.calls += 1
         return self.base.adjoint(y)
 
+    def gram_apply(self, x):
+        return self.adjoint(self.apply(x))
+
 
 def _iht_case(n, m, p, seed, variant, s, frame=False):
-    op = MeasurementOperator(generate_probes(ProblemDims(n, m, p), seed), variant)
-    if frame:
-        op = _FrameDifferenceOperator(op, p, n)
+    probes = generate_probes(ProblemDims(n, m, p), seed)
+    op = MeasurementOperator(_difference_probes(probes) if frame else probes, variant)
     return op, rng.gaussians(rng.derive_seed(seed, 9), op.output_len), s
 
 
@@ -335,8 +344,8 @@ def _iht_cases(draw):
 def test_iht_descends_at_two_operator_calls_per_iteration(case):
     # the step 1/||Phi||^2 minimizes a majorizer of the residual over s-sparse
     # x, so no max_iter prefix ends above the one before it; each iteration is
-    # one apply and one adjoint, after the norm's Lanczos calls, and the
-    # returned residual takes one apply more
+    # one gram_apply (one apply and one adjoint), after the norm's Lanczos
+    # calls, and Phi^T y and the returned residual take one call each
     base, y, s = case
     op = CountingOp(base)
     operator_norm_sq(op)
@@ -345,7 +354,7 @@ def test_iht_descends_at_two_operator_calls_per_iteration(case):
     for max_iter in (1, 2, 3, 5, 8, 13, 21, 34):
         op.calls = 0
         res = solve_iht(op, y, s, SolverConfig(max_iter=max_iter))
-        assert op.calls == norm_calls + 2 * res.iterations + 1
+        assert op.calls == norm_calls + 2 * res.iterations + 2
         residuals.append(res.residual_norm)
     assert all(b <= a * (1 + 1e-12) for a, b in zip(residuals, residuals[1:]))
 
@@ -434,8 +443,11 @@ def _step_cases(draw):
 @example(case=_step_case(32, 4096, 2, 3, Variant.LINEAR))  # real FFT, K = 64 < 4320
 @example(case=_step_case(96, 180, 8, 3, Variant.FOLDED))  # real FFT, K = 192 >= 180
 def test_gram_step_agrees_with_operator_calls(case):
-    # the held-Gram step, the lag-spectrum step and the operator-call step
-    # are one affine map, so the solves agree to rounding and stop alike
+    # the held-Gram step and the gram_apply step are one affine map, so the
+    # solves agree to rounding and stop alike; the lag spectrum and one
+    # apply and one adjoint are two kernels of gram_apply that agree to
+    # rounding too.  An operator that runs neither the held Gram nor the
+    # lag spectrum takes the route of CountingOp(op), bit for bit.
     op, y, s = case
     if op._matrix is not None and op.input_len**2 <= GRAM_KERNEL_ELEMENTS:
         assert not op.gram.flags.writeable
@@ -455,8 +467,10 @@ def test_gram_step_agrees_with_operator_calls(case):
                   lambda o: solve_iht(o, y, s, SolverConfig())):
         held, called = solve(op), solve(calls)
         assert (held.converged, held.note) == (called.converged, called.note)
-        if lags:
+        if op.gram is None:
             assert held.iterations == called.iterations
+        if op.gram is None and not lags:
+            assert held.x_hat.tobytes() == called.x_hat.tobytes()
         scale = float(np.linalg.norm(called.x_hat))
         assert np.linalg.norm(held.x_hat - called.x_hat) <= 1e-9 * scale
 
@@ -602,7 +616,7 @@ class TestOperatorNorm:
 
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_fista_makes_two_operator_calls_per_iteration(self, variant, monkeypatch):
-        # through operator calls an iteration is one apply and one adjoint;
+        # through CountingOp's gram_apply an iteration is one apply and one adjoint;
         # solve_bpdn adds Phi^T y and one apply per stage for the stage's
         # residual, and the norm's Lanczos calls are counted apart
         d = ProblemDims(8, 24, 4)
@@ -623,6 +637,14 @@ class TestOracleLS:
         op = folded_operator(probes)
         res = solve_oracle_ls(op, op.apply(h), support)
         assert np.linalg.norm(res.x_hat - h) <= 1e-10
+
+    @pytest.mark.parametrize("support", [[1.7, 5.2], [1.0, 5], [True, 5], ["1", 5]])
+    def test_non_integer_support_rejected(self, support):
+        # int() would truncate 1.7 to 1 and take True as index 1
+        probes, h, _ = sparse_instance(ProblemDims(4, 16, 2), 31, 2)
+        op = folded_operator(probes)
+        with pytest.raises(ParameterError, match="integers"):
+            solve_oracle_ls(op, op.apply(h), support)
 
     def test_empty_support(self):
         d = ProblemDims(3, 8, 2)
@@ -784,14 +806,19 @@ def test_y_inside_normal_range_accepted(scale):
 # held Gram below GRAM_KERNEL_ELEMENTS, and FISTA through apply(z) in place
 # of Phi z by linearity above it (x_hat moved by at most, relative in l2:
 # bpdn-folded 8.3e-16 and 2.6e-16, bpdn-linear 1.8e-15 and 1.9e-16, iht
-# 1.0e-15; FROZEN_API_FLAGS held).
+# 1.0e-15; FROZEN_API_FLAGS held).  The three (32, 128, 8) solver digests
+# were re-recorded when operators that hold no Gram stepped through
+# gram_apply in place of one apply and one adjoint of Phi z - y (largest
+# relative move of x_hat in l2, then of ||x_hat - h|| / ||h||: bpdn-folded
+# 2.2e-16 and 2.0e-10, bpdn-linear 2.5e-16 and 7.8e-15, iht 2.9e-16 and
+# 1.8e-9; FROZEN_API_FLAGS held).
 FROZEN_API_DIGESTS = {
     ("bpdn-folded", (8, 24, 4)): "1927cf98d90efe5dc0c6283a5109b8d614654887408696aeea325069d4602168",
-    ("bpdn-folded", (32, 128, 8)): "62d8211e1841588c6cd0ae69c1e8b8fa99cb215b2fd6f977a9410d83456e820e",
+    ("bpdn-folded", (32, 128, 8)): "da3f12c247d2a140fc10e80259fe1ee2d0b5b3718abdf94fa18d484e648b1b36",
     ("bpdn-linear", (8, 24, 4)): "dd366bb08896397a3e1ad91e46a12084f4ec5e750a2d92e3956ca74751c29641",
-    ("bpdn-linear", (32, 128, 8)): "1697888c640ce857b627889ea8f021ea124ae5750664da89611ae8918182ac06",
+    ("bpdn-linear", (32, 128, 8)): "03692d529e733127b9d43e77dad4bf290ce53222af128ad772b96d36b6e7df8b",
     ("iht", (8, 24, 4)): "a7dac5d7b757c84fbf03d66f4deaf38dde331ec671a6638da3002d9d6ceb0412",
-    ("iht", (32, 128, 8)): "c182051505c08790b186aa9d528461e6161c334e42a1d076471f821fff05b71f",
+    ("iht", (32, 128, 8)): "a744ebc0a578e5f2c7ae32047091b389ac2da59930059e14fbec08273bf7bd39",
     ("oracle", (8, 24, 4)): "86653ad3d8b07905f26811ee18aa6fcf9b4cd90768f41dd10f3218eb1d89dbda",
     ("oracle", (32, 128, 8)): "dacba9e3fdd4bc8d95cc594c470ba1d85414d7a7c6115b464f3e12cf0cabed6c",
 }
