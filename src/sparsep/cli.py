@@ -134,7 +134,7 @@ def simulate(probes_path, channels_path, sparsity, channel_seed, noise_eps,
 @click.option("--s-target", type=int, default=0, help="Sparsity for IHT.")
 @click.option("--support", type=str, default=None,
               help="Comma-separated true support for --method oracle "
-                   "(1-based, matching the file-format convention).")
+                   "(1-based; converted here to the library's 0-based indices).")
 @click.option("--max-iter", type=int, default=5000, show_default=True)
 @click.option("--out-json", type=click.Path(dir_okay=False), required=True)
 @click.option("--out-csv", type=click.Path(dir_okay=False), default=None)
@@ -159,7 +159,7 @@ def recover(probes_path, meas_path, method, epsilon, s_target, support,
     else:
         if support is None:
             raise ParameterError("--method oracle requires --support")
-        # flag is 1-based per the format convention; arrays are 0-based
+        # the flag is 1-based, the library's arrays 0-based
         tokens = [tok.strip() for tok in support.split(",") if tok.strip() != ""]
         if not all(tok.isdecimal() and int(tok) >= 1 for tok in tokens):
             raise ParameterError(

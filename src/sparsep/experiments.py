@@ -282,8 +282,9 @@ def _recover_and_score(cfg, gi, gp, trial, start, op, target, h, to_image=None, 
     )
 
 
-def _recovery_trial(cfg, gi, gp, trial, coded=False):
+def _recovery_trial(cfg, gi, gp, trial):
     start = time.perf_counter()
+    coded = cfg.kind == "coded_aperture"
     trial_seed = rng.derive_seed(cfg.base_seed, gi, trial)
     dims = ProblemDims(gp.n, gp.m, gp.p)
     probes = generate_probes(dims, rng.derive_seed(trial_seed, 1))
@@ -448,8 +449,6 @@ def _trial_fn(kind):
         return _rip_trial
     if kind == "stability":
         return _stability_trial
-    if kind == "coded_aperture":
-        return functools.partial(_recovery_trial, coded=True)
     return _recovery_trial
 
 

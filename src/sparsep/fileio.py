@@ -1,4 +1,4 @@
-"""File formats and the one place 1-based conventions meet 0-based arrays.
+"""File formats: numeric vectors and JSON metadata, none holding a signal index.
 
 All numeric files are text: a single-line JSON header carrying
 ``format_version`` followed by one float per line, printed with 17

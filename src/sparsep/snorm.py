@@ -1,30 +1,31 @@
-"""Restricted s-norm ||A||_s and restricted-isometry constants.
+"""Restricted s-norm ||A||_s of symmetric matrices and restricted-isometry constants.
 
-For a square matrix A, ||A||_s is the supremum of |y^T A x| over unit
-vectors x, y sharing a support of size at most s; on a common support it
-equals the spectral norm of the principal submatrix, and it is monotone
-in s, so enumerating supports of size exactly s suffices.
+For a symmetric matrix A (both entry points reject any other), ||A||_s
+is the supremum of |y^T A x| over unit vectors x, y sharing a support of
+size at most s; on a common support it equals the spectral norm of the
+principal submatrix, and it is monotone in s, so enumerating supports of
+size exactly s suffices.
 
 Both modes see A only through ``blocks(idx)``, its principal submatrices
-for a (B, s) batch of supports, and score every block with one kernel,
-:func:`_spectral_norms`: a closed form for symmetric 3 x 3 blocks
-(LAPACK for one near a double eigenvalue), LAPACK ``eigvalsh`` for other
-symmetric blocks and the SVD otherwise, each LAPACK block scaled by an
-exact power of two.  A block's value depends on that block alone, so
-both modes score a support alike, and a batch of any size gives the same
-values.  Each ``blocks`` call, and the kernel call that scores it, holds
-at most _BLOCK_ENTRIES entries B * s^2, or one restart's first ascent
-step where that is larger.  Exact mode enumerates all supports
-lexicographically in chunks of that size (deterministic first-found
-tie-break) and is gated by the enumeration budget C(N, s) * s^3.
-Randomized mode samples supports and sharpens each with a
-steepest single-swap ascent; it is a lower bound on the exact value and
-reproducible given its seed.  Each ascent step scores all s * (N - s)
-swaps, in (position, outside index) order with each candidate support
-sorted, and moves to the first strict maximum above the current value;
-restarts step in lockstep groups of as many as the bound holds
-(:func:`_swap_ascent`).  For delta_s, both modes read I - Phi^T Phi
-from the folded operator's signed-lag residual table
+for a (B, s) batch of supports, and score every block by its lower
+triangle with one kernel, :func:`_spectral_norms`: a closed form for
+3 x 3 blocks (LAPACK for one near a double eigenvalue) and LAPACK
+``eigvalsh`` for the others, each LAPACK block scaled by an exact power
+of two.  A block's value depends on that block alone, so both modes
+score a support alike, and a batch of any size gives the same values.
+Each ``blocks`` call, and the kernel call that scores it, holds at most
+_BLOCK_ENTRIES entries B * s^2, or one restart's first ascent step where
+that is larger.  Exact mode enumerates all supports lexicographically in
+chunks of that size (deterministic first-found tie-break) and is gated
+by the enumeration budget C(N, s) * s^3.  Randomized mode samples
+supports and sharpens each with a steepest single-swap ascent; it is a
+lower bound on the exact value and reproducible given its seed.  Each
+ascent step scores all s * (N - s) swaps, in (position, outside index)
+order with each candidate support sorted, and moves to the first strict
+maximum above the current value, for at most 5 * s * N evaluations per
+restart (_SWAP_CAP_FACTOR); restarts step in lockstep groups of as many
+as the bound holds (:func:`_swap_ascent`).  For delta_s, both modes read
+I - Phi^T Phi from the folded operator's signed-lag residual table
 (``MeasurementOperator.residual_blocks``), so no N x N matrix is held.
 Shifting every index of a support by the same within-block offset leaves
 its block unchanged, so the exact tie-break returns a support with an
@@ -41,7 +42,7 @@ from . import budgets, rng
 from .errors import DimensionError, ParameterError
 from .operators import folded_operator
 from .operators import build_dense_folded  # noqa: F401  perfbench/tracer.py wraps it by name
-from .probes import is_integer
+from .probes import _check_seed, is_integer
 
 EXACT = "exact"
 RANDOMIZED = "randomized_lower_bound"
@@ -70,6 +71,7 @@ _BLOCK_ENTRIES = 2**16
 _NEAR_DOUBLE = 0.3
 _NEAR_R = cos(3 * asin(_NEAR_DOUBLE / (2 * sqrt(3))))
 _THIRD_TURNS = np.array([[0.0], [2 * np.pi / 3]])
+_SWAP_CAP_FACTOR = 5  # a restart stops after 5 * s * N submatrix evaluations
 
 
 @dataclass(frozen=True)
@@ -87,20 +89,18 @@ class SNormResult:
     trials: int = 0
 
 
-def _spectral_norms(stack, symmetric):
-    """Spectral norm of each matrix in a (batch, s, s) stack.
+def _spectral_norms(stack):
+    """Spectral norm of each symmetric block of a (batch, s, s) stack, read by its lower triangle.
 
-    Symmetric stacks read only their lower triangle.  Symmetric 3 x 3
-    blocks use a closed form (:func:`_norms_3x3`), other blocks LAPACK
-    (:func:`_lapack_norms`).  Every block's value depends on that block
-    alone.
+    3 x 3 blocks use a closed form (:func:`_norms_3x3`), others LAPACK
+    (:func:`_lapack_norms`); each value depends on its block alone.
     """
     s = stack.shape[-1]
     if s == 1:
         return np.abs(stack[..., 0, 0])
-    if symmetric and s == 3:
+    if s == 3:
         return _norms_3x3(stack)
-    return _lapack_norms(stack, symmetric)
+    return _lapack_norms(stack)
 
 
 def _exponents(high, low):
@@ -112,8 +112,8 @@ def _exponents(high, low):
     return np.frexp(np.maximum(high, -low))[1]
 
 
-def _lapack_norms(stack, symmetric):
-    """LAPACK ``eigvalsh`` (symmetric) or SVD norms of blocks scaled to unit size.
+def _lapack_norms(stack):
+    """LAPACK ``eigvalsh`` norms of symmetric blocks scaled to unit size.
 
     Each block is multiplied by 2**-e (:func:`_exponents`) and its norm by
     2**e.  Unscaled, ``eigvalsh`` misses by 10% on a block with entries
@@ -121,10 +121,7 @@ def _lapack_norms(stack, symmetric):
     """
     e = _exponents(stack.max(axis=(-2, -1)), stack.min(axis=(-2, -1)))
     scaled = np.ldexp(stack, -e[..., None, None])
-    if symmetric:
-        norms = np.max(np.abs(np.linalg.eigvalsh(scaled)), axis=-1)
-    else:
-        norms = np.linalg.svd(scaled, compute_uv=False)[..., 0]
+    norms = np.max(np.abs(np.linalg.eigvalsh(scaled)), axis=-1)
     return np.ldexp(norms, e)
 
 
@@ -157,7 +154,7 @@ def _norms_3x3(stack):
     out = np.ldexp(np.maximum(np.abs(q + hi), np.abs(q + lo)), e)
     near = np.flatnonzero(np.abs(r) > _NEAR_R)
     if near.size:
-        out[near] = _lapack_norms(stack[near], True)
+        out[near] = _lapack_norms(stack[near])
     return out
 
 
@@ -169,18 +166,19 @@ def _check_args(n, s):
 
 
 def _dense(a):
-    """(blocks, size, symmetric) of a dense square matrix."""
+    """(blocks, size) of a dense symmetric matrix."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"need a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ParameterError("matrix entries must be finite")
     # symmetric to 1e-12 of its largest entry, so the test does not depend on scale
-    symmetric = np.max(np.abs(a - a.T), initial=0.0) <= 1e-12 * np.max(np.abs(a), initial=0.0)
-    return (lambda idx: a[idx[..., :, None], idx[..., None, :]]), a.shape[0], symmetric
+    if np.max(np.abs(a - a.T), initial=0.0) > 1e-12 * np.max(np.abs(a), initial=0.0):
+        raise ParameterError("matrix must be symmetric")
+    return (lambda idx: a[idx[..., :, None], idx[..., None, :]]), a.shape[0]
 
 
-def _enumerate(blocks, size, symmetric, s):
+def _enumerate(blocks, size, s):
     """snorm_exact over ``blocks``: supports (B, s) -> blocks (B, s, s)."""
     _check_args(size, s)
     budgets.check_enum(comb(size, s) * s**3, "exact s-norm")
@@ -192,7 +190,7 @@ def _enumerate(blocks, size, symmetric, s):
     per_chunk = max(1, _BLOCK_ENTRIES // s**2) * s
     while (chunk := np.fromiter(islice(indices, per_chunk), dtype=np.intp)).size:
         chunk = chunk.reshape(-1, s)
-        values = _spectral_norms(blocks(chunk), symmetric)
+        values = _spectral_norms(blocks(chunk))
         local = int(np.argmax(values))
         if values[local] > best_value:
             best_value = float(values[local])
@@ -201,16 +199,16 @@ def _enumerate(blocks, size, symmetric, s):
 
 
 def snorm_exact(a, s):
-    """Exhaustive restricted s-norm of a dense square matrix.
+    """Exhaustive restricted s-norm of a dense symmetric matrix.
 
     Enumerates supports in lexicographic order; ties in the maximum keep
-    the first support found.  Raises BudgetError when C(N, s) * s^3
-    exceeds the enumeration budget.
+    the first support found.  ParameterError unless A is symmetric;
+    BudgetError when C(N, s) * s^3 exceeds the enumeration budget.
     """
     return _enumerate(*_dense(a), s)
 
 
-def _swap_ascent(blocks, size, symmetric, s, trials, seed, swap_cap_factor=5):
+def _swap_ascent(blocks, size, s, trials, seed):
     """snorm_randomized over ``blocks``: supports (B, s) -> blocks (B, s, s).
 
     Restarts run in groups of as many as fit in _BLOCK_ENTRIES, counting
@@ -227,7 +225,8 @@ def _swap_ascent(blocks, size, symmetric, s, trials, seed, swap_cap_factor=5):
     _check_args(size, s)
     if not is_integer(trials) or trials < 1:
         raise ParameterError(f"trials must be an integer >= 1, got {trials!r}")
-    cap = swap_cap_factor * s * size
+    seed = _check_seed(seed)
+    cap = _SWAP_CAP_FACTOR * s * size
     group = max(1, _BLOCK_ENTRIES // ((s * (size - s) + 1) * s * s))
     best_value = -1.0
     best_support = None
@@ -242,7 +241,7 @@ def _swap_ascent(blocks, size, symmetric, s, trials, seed, swap_cap_factor=5):
         idx = np.concatenate((support, _swaps(support, size)[:, :cap].reshape(-1, s)))
         cands = idx[len(support):].reshape(len(support), -1, s)
         evals = cands.shape[1]
-        current, values = np.split(_spectral_norms(blocks(idx), symmetric), [len(support)])
+        current, values = np.split(_spectral_norms(blocks(idx)), [len(support)])
         del idx  # freed with cands when the next step replaces them
         while cands.shape[1]:
             values = values.reshape(cands.shape[:2])
@@ -256,7 +255,7 @@ def _swap_ascent(blocks, size, symmetric, s, trials, seed, swap_cap_factor=5):
                 break
             cands = _swaps(support[live], size)[:, : cap - evals]
             evals += cands.shape[1]
-            values = _spectral_norms(blocks(cands.reshape(-1, s)), symmetric)
+            values = _spectral_norms(blocks(cands.reshape(-1, s)))
         winner = int(np.argmax(current))
         if current[winner] > best_value:
             best_value = float(current[winner])
@@ -282,15 +281,15 @@ def _swaps(support, size):
     return np.sort(cands, axis=-1).reshape(r, s * (size - s), s)
 
 
-def snorm_randomized(a, s, trials, seed, swap_cap_factor=5):
-    """Randomized lower bound on the restricted s-norm of a dense square matrix.
+def snorm_randomized(a, s, trials, seed):
+    """Randomized lower bound on the restricted s-norm of a dense symmetric matrix.
 
     Each trial draws a uniform size-s support and runs the steepest swap
-    ascent (module docstring), capped at ``swap_cap_factor * s * N``
-    submatrix evaluations per trial.  Deterministic given the seed; the
-    result never exceeds the exact norm.
+    ascent (module docstring), capped at 5 * s * N submatrix evaluations
+    per trial.  Deterministic given the seed; the result never exceeds
+    the exact norm.  ParameterError unless A is symmetric.
     """
-    return _swap_ascent(*_dense(a), s, trials, seed, swap_cap_factor)
+    return _swap_ascent(*_dense(a), s, trials, seed)
 
 
 def rip_delta(probes, s, mode=EXACT, trials=100, seed=0):
@@ -305,7 +304,7 @@ def rip_delta(probes, s, mode=EXACT, trials=100, seed=0):
     blocks = folded_operator(probes).residual_blocks
     size = probes.dims.signal_len
     if mode == EXACT:
-        return _enumerate(blocks, size, True, s)
+        return _enumerate(blocks, size, s)
     if mode == RANDOMIZED:
-        return _swap_ascent(blocks, size, True, s, trials, seed)
+        return _swap_ascent(blocks, size, s, trials, seed)
     raise ParameterError(f"unknown mode {mode!r}")

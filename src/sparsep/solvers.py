@@ -59,6 +59,8 @@ _NORM_SEED = 0x5EED
 # ulps of exact, over at most max_iter additions; this covers that rounding
 # far beyond any N or max_iter here
 _NORM_SLACK = 1.0 + 1e-6
+# Most unknowns reference_bpdn takes: a slow dense certifier for test-size instances
+_REFERENCE_UNKNOWNS = 64
 
 
 @dataclass(frozen=True)
@@ -357,21 +359,21 @@ def solve_oracle_ls(op, y, support):
     return _result(x, op.apply(x) - y, 1, True, "oracle_ls", note=note)
 
 
-def reference_bpdn(phi, y, eps, size_limit=64):
+def reference_bpdn(phi, y, eps):
     """Independent slow solution of min ||x||_1 s.t. ||Phi x - y|| <= eps.
 
     eps = 0 is solved exactly as a linear program on the positive/negative
     split; eps > 0 runs sequential quadratic programming on the same split
-    with the quadratic constraint.  Dense instances with at most
-    ``size_limit`` unknowns only.
+    with the quadratic constraint.  Dense instances with at most 64
+    unknowns only (BudgetError otherwise).
     """
     phi = np.asarray(phi, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if phi.ndim != 2 or phi.shape[0] != y.size:
         raise DimensionError(f"phi {phi.shape} does not match y {y.shape}")
     n = phi.shape[1]
-    if n > size_limit:
-        raise BudgetError(f"reference solver limited to {size_limit} unknowns, got {n}")
+    if n > _REFERENCE_UNKNOWNS:
+        raise BudgetError(f"reference solver limited to {_REFERENCE_UNKNOWNS} unknowns, got {n}")
     if not eps >= 0:
         raise ParameterError(f"epsilon must be >= 0, got {eps}")
     if np.linalg.norm(y) <= eps:

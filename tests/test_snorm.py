@@ -68,7 +68,10 @@ def test_matches_independent_enumerator(seed, s):
 def test_nonsymmetric_input():
     g = np.random.default_rng(3)
     a = g.standard_normal((5, 5))
-    assert abs(snorm_exact(a, 2).value - brute_force_snorm(a, 2)) <= 1e-12
+    with pytest.raises(ParameterError, match="symmetric"):
+        snorm_exact(a, 2)
+    with pytest.raises(ParameterError, match="symmetric"):
+        snorm_randomized(a, 2, trials=1, seed=0)
 
 
 def test_argmax_support_attains_value():
@@ -89,6 +92,7 @@ def test_norm_properties():
     for _ in range(10):
         a = g.standard_normal((6, 6))
         b = g.standard_normal((6, 6))
+        a, b = (a + a.T) / 2, (b + b.T) / 2
         sa = snorm_exact(a, 2).value
         sb = snorm_exact(b, 2).value
         assert snorm_exact(a + b, 2).value <= sa + sb + 1e-12
@@ -103,12 +107,17 @@ def test_budget_error_no_silent_downgrade(monkeypatch):
 
 
 def test_symmetry_test_is_relative_to_the_largest_entry():
-    # with an absolute 1e-12 tolerance this matrix passed as symmetric, and
-    # eigvalsh read only its zero lower triangle: 0.0 instead of 1e-13
+    # an absolute 1e-12 tolerance would pass the first matrix as symmetric,
+    # and eigvalsh would read only its zero lower triangle; it would reject
+    # the second, whose asymmetry is 1e-13 of its largest entry
     a = np.zeros((3, 3))
     a[0, 1] = 1e-13
-    assert snorm_exact(a, 2).value == pytest.approx(1e-13, rel=1e-12, abs=0)
-    assert snorm_exact(a * 1e13, 2).value == pytest.approx(1.0, rel=1e-12, abs=0)
+    for c in (1.0, 1e13):
+        with pytest.raises(ParameterError, match="symmetric"):
+            snorm_exact(c * a, 2)
+    b = np.diag([1e13, 1.0, 1.0])
+    b[0, 1] = 1.0
+    assert snorm_exact(b, 2).value == snorm_exact(np.diag([1e13, 1.0, 1.0]), 2).value
 
 
 def test_non_finite_entries_rejected():
@@ -122,12 +131,12 @@ def test_non_finite_entries_rejected():
 
 
 @st.composite
-def scalable_matrices(draw):
+def scalable_matrices(draw, shapes=("symmetric", "lower", "upper", "general")):
     """Square matrices of moderate entries: symmetric, strictly triangular or general."""
     n = draw(st.integers(1, 6))
     entries = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
     a = draw(arrays(np.float64, (n, n), elements=entries))
-    shape = draw(st.sampled_from(["symmetric", "lower", "upper", "general"]))
+    shape = draw(st.sampled_from(shapes))
     if shape == "symmetric":
         a = lower_symmetric(a)
     elif shape == "lower":
@@ -141,10 +150,45 @@ def scalable_matrices(draw):
 @given(a=scalable_matrices(), exponent=st.floats(-100.0, 100.0), data=st.data())
 def test_exact_snorm_scales_with_the_matrix(a, exponent, data):
     # ||c A||_s = c ||A||_s: the symmetry test and the kernels see no scale
+    a = (a + a.T) / 2
     s = data.draw(st.integers(1, a.shape[0]))
     c = 10.0**exponent
     expected = c * snorm_exact(a, s).value
     assert snorm_exact(c * a, s).value == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=scalable_matrices(shapes=("lower", "upper", "general")),
+    exponent=st.sampled_from([-100.0, 100.0]) | st.floats(-100.0, 100.0),
+    data=st.data(),
+)
+def test_nonsymmetric_input_rejected_at_every_scale(a, exponent, data):
+    # the symmetry test is relative, so it rejects c A at every scale,
+    # before the budget check, the enumeration or the ascent starts
+    assume(np.max(np.abs(a - a.T)) > 1e-12 * np.max(np.abs(a)))
+    a = 10.0**exponent * a
+    s = data.draw(st.integers(1, a.shape[0]))
+    with mock.patch.object(snorm, "_enumerate", side_effect=AssertionError), \
+            mock.patch.object(snorm, "_swap_ascent", side_effect=AssertionError):
+        with pytest.raises(ParameterError, match="symmetric"):
+            snorm_exact(a, s)
+        with pytest.raises(ParameterError, match="symmetric"):
+            snorm_randomized(a, s, trials=2, seed=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=scalable_matrices(shapes=("symmetric",)), exponent=st.floats(-100.0, 100.0),
+       data=st.data())
+def test_nearly_symmetric_input_reads_the_lower_triangle(a, exponent, data):
+    # an upper triangle shrunk by 1e-13 of each entry stays within the
+    # 1e-12 relative tolerance, and only the lower triangle is read
+    a = 10.0**exponent * a
+    nearly = np.tril(a) + np.triu(a, 1) * (1 - 1e-13)
+    s = data.draw(st.integers(1, a.shape[0]))
+    assert snorm_exact(nearly, s) == snorm_exact(a, s)
+    assert (snorm_randomized(nearly, s, trials=3, seed=1)
+            == snorm_randomized(a, s, trials=3, seed=1))
 
 
 def test_dimension_checks():
@@ -187,7 +231,7 @@ class TestRandomized:
         r2 = snorm_randomized(a, 3, trials=7, seed=42)
         assert r1.value == r2.value and r1.argmax_support == r2.argmax_support
 
-    # (matrix seed, N, s, trials, seed, swap_cap_factor) -> (value, argmax_support),
+    # (matrix seed, N, s, trials, seed, _SWAP_CAP_FACTOR) -> (value, argmax_support),
     # recorded from the one-candidate-at-a-time search; the cap-1 cases cut
     # their second step at the evaluation cap
     FROZEN = [
@@ -202,7 +246,8 @@ class TestRandomized:
     def test_frozen_search_output(self, case, value, support):
         mseed, n, s, trials, seed, cap = case
         a = random_symmetric(mseed, n)
-        res = snorm_randomized(a, s, trials=trials, seed=seed, swap_cap_factor=cap)
+        with mock.patch.object(snorm, "_SWAP_CAP_FACTOR", cap):
+            res = snorm_randomized(a, s, trials=trials, seed=seed)
         assert res.value == float.fromhex(value)
         assert res.argmax_support == support
 
@@ -335,6 +380,15 @@ class TestRipDelta:
         with pytest.raises(ParameterError, match="integer"):
             rip_delta(ps, 2, mode=RANDOMIZED, trials=trials)
 
+    def test_seed_outside_64_bits_rejected(self):
+        # derive_seed masks to 64 bits, so 1.5 would run as 1 and -1 as 2**64 - 1
+        ps = generate_probes(ProblemDims(4, 16, 2), 42)
+        for seed in (1.5, -1, 2**64, True):
+            with pytest.raises(ParameterError, match="seed"):
+                rip_delta(ps, 2, mode=RANDOMIZED, trials=3, seed=seed)
+        for seed in (0, 2**64 - 1):
+            assert rip_delta(ps, 2, mode=RANDOMIZED, trials=3, seed=seed).trials == 3
+
 
 def test_exact_tie_break_is_first_lexicographic_support():
     # identity: every support attains the max; the first one must win
@@ -402,7 +456,7 @@ class TestKernel:
         if nearly_symmetric:
             # only the lower triangle counts, as in eigvalsh
             stack = stack + np.triu(stack, 1) * 1e-9
-        got = _spectral_norms(stack, True)
+        got = _spectral_norms(stack)
         assert np.all(np.abs(got - expected) <= tol)
 
     def test_double_eigenvalues(self):
@@ -414,11 +468,11 @@ class TestKernel:
                  + g.standard_normal((50, 1, 1)) * u[:, :, None] * u[:, None, :])
         expected = np.max(np.abs(np.linalg.eigvalsh(stack)), axis=-1)
         tol = 8 * EPS * np.linalg.norm(stack, axis=(-2, -1))
-        assert np.all(np.abs(_spectral_norms(stack, True) - expected) <= tol)
+        assert np.all(np.abs(_spectral_norms(stack) - expected) <= tol)
 
     def test_multiples_of_the_identity_are_exact(self):
         stack = np.array([q * np.eye(3) for q in (0.0, -0.1, 3.0, 1e-300, -1e300)])
-        assert np.array_equal(_spectral_norms(stack, True), np.abs(stack[:, 0, 0]))
+        assert np.array_equal(_spectral_norms(stack), np.abs(stack[:, 0, 0]))
 
     def test_large_block_with_tiny_entries(self):
         # eigvalsh returns 8.571e135 on this block and on it padded to 4 x 4
@@ -436,7 +490,7 @@ class TestKernel:
                   (np.pad(a, ((1, 0), (1, 0))), 7.74604484e135),
                   (near_double, 1.5464323055156435e128)]
         for block, norm in blocks:
-            got = _spectral_norms(block[None], True)[0]
+            got = _spectral_norms(block[None])[0]
             assert got == pytest.approx(norm, rel=8 * EPS, abs=0)
 
     def test_value_depends_on_the_block_alone(self):
@@ -445,18 +499,18 @@ class TestKernel:
         for s in (3, 4):
             stack = lower_symmetric(g.standard_normal((300, s, s)))
             stack[::7] = 0.5 * np.eye(s) + 0.25  # double eigenvalues: LAPACK
-            whole = _spectral_norms(stack, True)
-            alone = np.array([_spectral_norms(b[None], True)[0] for b in stack])
+            whole = _spectral_norms(stack)
+            alone = np.array([_spectral_norms(b[None])[0] for b in stack])
             assert np.array_equal(whole, alone)
 
 
-def one_restart_at_a_time(a, s, trials, seed, swap_cap_factor):
+def one_restart_at_a_time(a, s, trials, seed, cap_factor):
     """The swap ascent as a loop over restarts and over candidates (reference)."""
     size = a.shape[0]
     def norms(supports):
         idx = np.array(supports).reshape(-1, s)
-        return _spectral_norms(a[idx[:, :, None], idx[:, None, :]], True)
-    cap = swap_cap_factor * s * size
+        return _spectral_norms(a[idx[:, :, None], idx[:, None, :]])
+    cap = cap_factor * s * size
     best_value, best_support = -1.0, None
     for trial in range(trials):
         support = tuple(rng.rand_support(rng.derive_seed(seed, trial), size, s))
@@ -500,8 +554,9 @@ class TestLockstep:
         s = data.draw(st.integers(1, min(5, n)))
         entries = st.sampled_from([0.0, 0.5, -1.0, 2.0]) | st.floats(-1.0, 1.0)
         a = lower_symmetric(data.draw(arrays(np.float64, (n, n), elements=entries)))
-        with mock.patch.object(snorm, "_BLOCK_ENTRIES", group * restart_entries(n, s)):
-            res = snorm_randomized(a, s, trials=trials, seed=seed, swap_cap_factor=cap)
+        with mock.patch.object(snorm, "_BLOCK_ENTRIES", group * restart_entries(n, s)), \
+                mock.patch.object(snorm, "_SWAP_CAP_FACTOR", cap):
+            res = snorm_randomized(a, s, trials=trials, seed=seed)
         value, support = one_restart_at_a_time(a, s, trials, seed, cap)
         assert res.value == value
         assert res.argmax_support == support
