@@ -61,7 +61,7 @@ KINDS = tuple(_UNREAD)
 # never mixes rows of two versions.
 NUMERICS = ("rfft-kernel/fista-az-by-linearity/lanczos-norm/lag-gram-delta/dense-below-2**17"
             "/circulant-column-spectra/closed-form-snorm-3x3/held-gram-step/lag-spectrum-step"
-            "/gram-apply-step")
+            "/gram-apply-step/kkt-endgame")
 METHODS = ("bpdn", "iht", "oracle")
 _GRIDS = ("n_grid", "m_grid", "p_grid", "s_grid", "epsilon_grid")
 

@@ -5,7 +5,8 @@
   the fixed step 1/(1.01 ||Phi||^2), with momentum restarts) with
   root-finding on the penalty so the residual lands on the noise budget.
   One continuation loop serves every eps; eps = 0 drives the residual down
-  to feas_tol * ||y|| instead of literal zero.
+  to feas_tol * ||y|| instead of literal zero.  After each stage an
+  active-set jump tries to finish the solve exactly (below).
 * :func:`solve_iht` -- iterative hard thresholding
   x <- H_s(x - mu * Phi^T (Phi x - y)) at the fixed step mu = 1/||Phi||^2.
 * :func:`operator_norm_sq` -- ||Phi||^2, from the held Gram or by
@@ -40,8 +41,31 @@ product in the loops is ``@``, not ``ndarray.dot`` or ``np.linalg.norm``
 (which calls ``dot``): ``dot`` releases the GIL on each call, and two
 experiment threads that re-take it that often ran slower than with ``@``.
 
-Solvers accept any operator exposing
-apply/adjoint/gram_apply/input_len/output_len, and a finite y that is
+The active-set jump (:func:`_jump`; FPC_AS, Wen, Yin, Goldfarb & Zhang
+2010, and the homotopy method, Osborne, Presnell & Turlach 2000) follows
+the Lasso path on the support S and signs sigma of a stage's x: there the
+penalized minimizer is x_S(lam) = a - lam b, with G_SS a = (Phi^T y)_S and
+G_SS b = sigma, and lam is set where the residual meets the budget (eps,
+or half of feas_tol * ||y|| at eps = 0).  G_SS is I - residual_blocks(S),
+an s x s LAPACK solve.  The point is taken only under a certificate read
+from the true residual r = Phi x - y and g = Phi^T r (one apply and one
+adjoint): no entry of x_S crosses zero, |g_i + lam sigma_i| <= 1e-12
+||Phi^T y||_inf on S, |g_i| <= lam off S, and r passes the stage's stop
+test.  Those are the KKT conditions of the penalized problem, so every
+converged=True the jump returns is certified.  Up to three rounds per try
+drop entries that crossed zero or add off-support violators.  A try costs
+one s x s solve and about two operator calls, about the cost of one FISTA
+iteration, so it runs after every stage: on (256, 1024, 16) s = 32 solves,
+trying only once the support had settled left 219-261 iterations (folded)
+and 386-496 (linear), against 169-216 and 287-333 trying every stage.
+Supports of output_len or more entries, or above _JUMP_SUPPORT = 192, are
+not tried: larger ones were never certified and cost memory (the constant's
+comment).
+
+Solvers accept any operator exposing apply/adjoint/gram_apply/
+residual_blocks/input_len/output_len (``residual_blocks(idx)`` is (I -
+Phi^T Phi)[idx, idx] for a 1-D index array, as on
+:class:`~sparsep.operators.MeasurementOperator`), and a finite y that is
 zero or has ||y||^2 a normal float64 (DataError "rescale y" otherwise:
 the norms the stops read would under/overflow).
 """
@@ -61,6 +85,22 @@ _NORM_SEED = 0x5EED
 _NORM_SLACK = 1.0 + 1e-6
 # Most unknowns reference_bpdn takes: a slow dense certifier for test-size instances
 _REFERENCE_UNKNOWNS = 64
+# Support rounds per _jump try: the 12 seed-1 perfbench recover_large files
+# took 3559, 3198 and 2969 FISTA iterations in all at 1, 2 and 3 rounds, and
+# 2969 at 6 or 10
+_JUMP_ROUNDS = 3
+# Largest support _jump hands to LAPACK.  Noisy (256, 1024, 16) s = 32 linear
+# solves try supports of 219-347 at their first bracketing stage, and none is
+# certified; trying them took perfbench recover_large's peak_rss_mb from
+# 78.7 to 121-135 MB and recover_ms_p50 from 66-68 to 75-91 ms (2 vCPUs, seed
+# 1).  Every certified jump seen on that workload had at most 147 entries.
+_JUMP_SUPPORT = 192
+# _jump's on-support test |g_i + lam sigma_i| <= _KKT_RTOL ||Phi^T y||_inf is
+# relative to ||Phi^T y||_inf, not to lam: over the 148 jumps taken on the
+# seed-1 perfbench recover_large and mc_phase inputs it read at most 7.4e-16
+# of ||Phi^T y||_inf, but lam falls to 1e-7 ||Phi^T y||_inf at eps = 0, where
+# that rounding reads up to 3.2e-9 of lam
+_KKT_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -184,10 +224,12 @@ def _fista(step, lam_step, x0, tol, max_iter):
 
     The iterate ``u - u.clip(-lam_step, lam_step)`` has the values of
     ``soft_threshold(u, lam_step)`` but +0.0 where that has -0.0, so the
-    returned x is soft_threshold of the last step.  ``bound`` is at least
-    max(1, ||x_new||): the last such value computed plus every step norm
-    since.  ||x_new|| is computed only when the step is small enough next
-    to that bound (times _NORM_SLACK) for the stop test to pass.
+    returned x is soft_threshold of the last step.  The stop is relative,
+    ||x_new - x|| <= tol ||x_new||, so scaling y scales every iterate and
+    leaves the iteration count alone.  ``bound`` is at least ||x_new||: the
+    last norm computed plus every step norm since.  ||x_new|| is computed
+    only when the step is small enough next to that bound (times
+    _NORM_SLACK) for the stop test to pass.
     """
     x = z = x0
     t = 1.0
@@ -207,11 +249,63 @@ def _fista(step, lam_step, x0, tol, max_iter):
         bound += step_norm
         step_ok = False
         if step_norm <= tol * _NORM_SLACK * bound:
-            bound = max(1.0, math.sqrt(x_new @ x_new))
+            bound = math.sqrt(x_new @ x_new)
             step_ok = step_norm <= tol * bound
         x, t = x_new, t_new
         if step_ok or it >= max_iter:
             return soft_threshold(u, lam_step), it
+
+
+def _jump(op, y, corr, x, target, on_budget):
+    """Finish a BPDN solve on the support of ``x`` (module docstring), or return None.
+
+    Returns (x, Phi x - y) for x_S = a - lam b, where ||r(lam)||^2 = ||y||^2
+    - a . (Phi^T y)_S + lam^2 sigma . b equals ``target``^2, when the
+    certificate holds on that residual; ``on_budget`` is the stage's stop
+    test.  Each of at most _JUMP_ROUNDS rounds drops the entries that
+    crossed zero, or adds the off-support violators with sign -sign(g_i),
+    and tries again.
+    """
+    yy, g_tol = float(y @ y), _KKT_RTOL * float(np.max(np.abs(corr)))
+    sigma = np.sign(x)
+    for _ in range(_JUMP_ROUNDS):
+        support = np.flatnonzero(sigma)
+        if not 0 < support.size < op.output_len or support.size > _JUMP_SUPPORT:
+            return None
+        sign, corr_s = sigma[support], corr[support]
+        gram = np.eye(support.size) - op.residual_blocks(support)
+        try:
+            a, b = np.linalg.solve(gram, np.stack([corr_s, sign], axis=1)).T
+        except np.linalg.LinAlgError:
+            return None
+        curvature, slack = sign @ b, target * target - (yy - a @ corr_s)
+        if not (curvature > 0.0 and slack > 0.0):
+            return None  # G_SS is not positive definite, or S cannot reach the budget
+        lam = math.sqrt(slack / curvature)
+        x_s = a - lam * b
+        crossed = x_s * sign <= 0.0
+        if crossed.any():
+            sigma[support[crossed]] = 0.0
+            continue
+        x = np.zeros(op.input_len)
+        x[support] = x_s
+        res, g = _certify(op, y, x)
+        violators = np.abs(g) > lam
+        violators[support] = False
+        if violators.any():
+            sigma[violators] = -np.sign(g[violators])
+            continue
+        if np.max(np.abs(g[support] + lam * sign)) <= g_tol and on_budget(
+                float(np.linalg.norm(res))):
+            return x, res
+        return None
+    return None
+
+
+def _certify(op, y, x):
+    """The residual Phi x - y and the gradient Phi^T (Phi x - y) that :func:`_jump` checks."""
+    res = op.apply(x) - y
+    return res, op.adjoint(res)
 
 
 def solve_bpdn(op, y, epsilon, cfg):
@@ -228,6 +322,16 @@ def solve_bpdn(op, y, epsilon, cfg):
     "lambda bracket collapsed".  The inner FISTA solves take the fixed step
     1/(1.01 ||Phi||^2) (:func:`operator_norm_sq`) through the solve's one
     step map; each stage ends with one ``apply`` for its residual.
+
+    A stage whose residual misses the budget is followed by the active-set
+    jump (:func:`_jump`, module docstring): on the stage's support and
+    signs the Lasso path is affine in lam, so one s x s solve gives the
+    point whose residual is epsilon (half of feas_tol * ||y|| at epsilon =
+    0).  It ends the solve, converged, only when the KKT certificate holds
+    on its true residual (at most 192 entries, fewer than output_len);
+    otherwise FISTA continues from the stage's x.  Every stop test is
+    relative, so scaling y by any power of ten in the normal range scales
+    x and leaves the stops alone.
     """
     if not epsilon >= 0:
         raise ParameterError(f"epsilon must be >= 0, got {epsilon}")
@@ -248,6 +352,10 @@ def solve_bpdn(op, y, epsilon, cfg):
     step = _step_map(op, y, 1.0 / L, corr)
     root_rtol = 1e-6
 
+    def on_budget(r):
+        return r <= eps_eff if epsilon == 0.0 else abs(r - eps_eff) <= root_rtol * eps_eff
+
+    target = eps_eff if epsilon > 0.0 else 0.5 * eps_eff
     x = np.zeros(n)
     iters = 0
     lam_hi, r_hi = lam_max, ynorm
@@ -264,7 +372,12 @@ def solve_bpdn(op, y, epsilon, cfg):
         iters += it
         res = op.apply(x) - y
         r = float(np.linalg.norm(res))
-        if r <= eps_eff if epsilon == 0.0 else abs(r - eps_eff) <= root_rtol * eps_eff:
+        if on_budget(r):
+            converged = True
+            break
+        jump = _jump(op, y, corr, x, target, on_budget)
+        if jump is not None:
+            x, res = jump
             converged = True
             break
         if r > eps_eff:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,6 +53,9 @@ class IdentityOp:
     def gram_apply(self, x):
         return self.adjoint(self.apply(x))
 
+    def residual_blocks(self, idx):
+        return np.zeros((len(idx), len(idx)))
+
 
 class DenseOp:
     """Test hook: Phi is the matrix ``a``."""
@@ -68,6 +72,10 @@ class DenseOp:
 
     def gram_apply(self, x):
         return self.adjoint(self.apply(x))
+
+    def residual_blocks(self, idx):
+        cols = self.a[:, idx]
+        return np.eye(len(idx)) - cols.T @ cols
 
 
 def sparse_instance(d, seed, s, amp_seed_offset=1000):
@@ -155,7 +163,8 @@ class TestBPDN:
     def test_infeasible_epsilon_stops_at_lambda_floor(self):
         # eps = 0.01 lies below the least-squares residual (0.0919), so no
         # lambda reaches it: the continuation stops once lambda falls
-        # below lam_max * 1e-16, long before max_iter
+        # below lam_max * 1e-16, long before max_iter (132 iterations before
+        # FISTA's stop became relative to ||x||)
         d = ProblemDims(4, 16, 1)
         probes = generate_probes(d, 3)
         op = linear_operator(probes)
@@ -164,7 +173,7 @@ class TestBPDN:
         dense = build_dense_linear(probes)
         x_ls, *_ = np.linalg.lstsq(dense, y, rcond=None)
         res = solve_bpdn(op, y, 0.01, SolverConfig())
-        assert not res.converged and res.iterations == 132
+        assert not res.converged and res.iterations == 146
         assert res.residual_norm >= np.linalg.norm(dense @ x_ls - y) * (1 - 1e-12)
 
     def test_negative_epsilon_rejected(self):
@@ -321,6 +330,9 @@ class CountingOp:
     def gram_apply(self, x):
         return self.adjoint(self.apply(x))
 
+    def residual_blocks(self, idx):
+        return self.base.residual_blocks(idx)
+
 
 def _iht_case(n, m, p, seed, variant, s, frame=False):
     probes = generate_probes(ProblemDims(n, m, p), seed)
@@ -361,30 +373,32 @@ def test_iht_descends_at_two_operator_calls_per_iteration(case):
 
 def test_held_gram_step_makes_no_operator_calls_per_iteration(monkeypatch):
     # stepping through the held Gram, IHT makes Phi^T y and the returned
-    # residual's apply, and solve_bpdn Phi^T y and one apply per FISTA
-    # stage, however many iterations they run; the norm reads the Gram
+    # residual's apply, and solve_bpdn Phi^T y, one apply per FISTA stage
+    # and one apply and one adjoint per jump certificate, however many
+    # iterations they run; the norm reads the Gram
     probes, h, _ = sparse_instance(ProblemDims(8, 24, 4), 3, 4)
     op = CountingOp(folded_operator(probes), keep_gram=True)
     y = op.base.apply(h)
     assert operator_norm_sq(op) > 0 and op.calls == 0
-    stages = _count_fista_stages(monkeypatch)
+    counts = _count_stages(monkeypatch)
     for method in ("iht", "bpdn"):
         iterations = set()
         for max_iter in (1, 5, 34, 5000):
-            op.calls, stages[0] = 0, 0
+            op.calls = counts["stages"] = counts["certificates"] = 0
             if method == "iht":
                 iterations.add(solve_iht(op, y, 4, SolverConfig(max_iter=max_iter)).iterations)
                 assert op.calls == 2
             else:
                 iterations.add(solve_bpdn(op, y, 0.0, SolverConfig(max_iter=max_iter)).iterations)
-                assert op.calls == 1 + stages[0]
+                assert op.calls == 1 + counts["stages"] + 2 * counts["certificates"]
         assert len(iterations) == 4
 
 
 def test_lag_route_steps_by_one_gram_apply(monkeypatch):
     # an FFT-kernel operator with K < fft_len runs Lanczos and every FISTA
-    # and IHT step through gram_apply: apply and adjoint make only Phi^T y
-    # and the residuals (one per FISTA stage, one at IHT's return)
+    # and IHT step through gram_apply: apply and adjoint make only Phi^T y,
+    # the residuals (one per FISTA stage, one at IHT's return) and each
+    # jump certificate's residual and gradient
     op, y, s = _step_case(32, 4096, 2, 3, Variant.LINEAR)
     calls = {}
     for name in ("apply", "adjoint", "gram_apply"):
@@ -401,21 +415,30 @@ def test_lag_route_steps_by_one_gram_apply(monkeypatch):
     res = solve_iht(op, y, s, SolverConfig())
     assert calls == {"adjoint": 1, "apply": 1, "gram_apply": norm_steps + res.iterations}
     calls.clear()
-    stages = _count_fista_stages(monkeypatch)
+    counts = _count_stages(monkeypatch)
     res = solve_bpdn(op, y, 0.0, SolverConfig())
-    assert calls == {"adjoint": 1, "apply": stages[0], "gram_apply": norm_steps + res.iterations}
+    certificates = counts["certificates"]
+    assert certificates > 0
+    assert calls == {"adjoint": 1 + certificates, "apply": counts["stages"] + certificates,
+                     "gram_apply": norm_steps + res.iterations}
 
 
-def _count_fista_stages(monkeypatch):
-    """Count solve_bpdn's FISTA stages in the returned one-element list."""
-    stages, fista = [0], solvers._fista
+def _count_stages(monkeypatch):
+    """Count solve_bpdn's FISTA stages and jump certificates in the returned dict."""
+    counts = {"stages": 0, "certificates": 0}
 
-    def counted(*args):
-        stages[0] += 1
-        return fista(*args)
+    def counting(name, key):
+        original = getattr(solvers, name)
 
-    monkeypatch.setattr(solvers, "_fista", counted)
-    return stages
+        def counted(*args):
+            counts[key] += 1
+            return original(*args)
+
+        monkeypatch.setattr(solvers, name, counted)
+
+    counting("_fista", "stages")
+    counting("_certify", "certificates")
+    return counts
 
 
 def _step_case(n, m, p, seed, variant):
@@ -475,6 +498,109 @@ def test_gram_step_agrees_with_operator_calls(case):
         assert np.linalg.norm(held.x_hat - called.x_hat) <= 1e-9 * scale
 
 
+def _jump_case(route, n, m, p, seed, variant, noisy):
+    """A sparse instance on one step route: the held Gram, CountingOp's calls
+    (apply and adjoint), or the lag spectrum (a real-FFT-kernel operator)."""
+    op = MeasurementOperator(generate_probes(ProblemDims(n, m, p), seed), variant)
+    assert (op.gram is not None, op.lag_len is not None) == (route != "lags", route == "lags")
+    s = max(1, op.input_len // 8)
+    h = rng.sparse_channel(rng.derive_seed(seed, 1), rng.derive_seed(seed, 2), op.input_len, s)
+    y, eps = op.apply(h), 0.0
+    if noisy:
+        eps = 0.05 * float(np.linalg.norm(y))
+        y = y + rng.noise_with_norm(rng.derive_seed(seed, 3), y.size, eps)
+    return route, CountingOp(op) if route == "calls" else op, y, eps
+
+
+@st.composite
+def _jump_cases(draw):
+    route = draw(st.sampled_from(["held", "calls", "lags"]))
+    if route == "lags":  # N = 64 with output_len * N above DENSE_KERNEL_ELEMENTS
+        n, m, p = draw(st.sampled_from([(32, 4096, 2), (16, 4096, 4), (16, 2304, 4)]))
+    else:
+        n = draw(st.integers(1, 16))
+        p = draw(st.integers(1 if n > 1 else 2, 64 // n))
+        m = draw(st.integers(n, 48))
+    return _jump_case(route, n, m, p, draw(st.integers(0, 2**64 - 1)),
+                      draw(st.sampled_from(Variant)), draw(st.booleans()))
+
+
+_JUMP_ROUTES = [("held", (8, 24, 4)), ("calls", (8, 24, 4)), ("lags", (32, 4096, 2))]
+
+
+def _check_jump(case, fixed):
+    # whenever the jump finishes a solve, its point passes each check of the
+    # certificate, recomputed here from the dense matrix: g = Phi^T (Phi x -
+    # y) equals -lam sign(x) on the support for one lam > 0, to 1e-12 of
+    # ||Phi^T y||_inf, is at most lam off it, and the residual meets the
+    # budget.  Those are the KKT conditions, so x solves BPDN at its residual.
+    # Its l1 norm is also checked against reference_bpdn (N <= 64 here): at
+    # eps = 0 (an LP) always, and at eps > 0 on the fixed cases only, since
+    # the reference's SQP stalls for seconds to minutes, or fails, on some
+    # drawn ones (CHANGES.md).  It is never above the reference by more than
+    # 1e-6, and below it only by the reference's slack: its SQP stops up to
+    # 8e-6 above the optimum at eps > 0, and at eps = 0 the jump's residual,
+    # feas_tol * ||y|| / 2, buys up to 2.4e-6 of l1 against the LP's exact
+    # interpolation (400 drawn cases).  ``fixed`` cases must take the jump.
+    route, op, y, eps = case
+    jump, taken = solvers._jump, []
+
+    def recording(*args):
+        out = jump(*args)
+        taken.append(out)
+        return out
+
+    cfg = SolverConfig()
+    with mock.patch.object(solvers, "_jump", recording):
+        res = solve_bpdn(op, y, eps, cfg)
+    taken = [t for t in taken if t is not None]
+    assert len(taken) <= 1
+    if not taken:
+        assert not fixed
+        return
+    x, _ = taken[0]
+    assert res.converged and res.x_hat is x and res.note == ""
+    assert res.residual_norm == np.linalg.norm(op.apply(x) - y)
+    base = op.base if route == "calls" else op
+    phi = (build_dense_folded if base.variant is Variant.FOLDED else build_dense_linear)(base.probes)
+    lam_max = float(np.max(np.abs(phi.T @ y)))
+    g = phi.T @ (phi @ x - y)
+    support = np.flatnonzero(x)
+    lams = -g[support] * np.sign(x[support])
+    lam = float(np.median(lams))
+    assert lam > 0.0
+    assert np.max(np.abs(lams - lam)) <= 2e-12 * lam_max
+    off = np.delete(np.abs(g), support)
+    assert off.size == 0 or np.max(off) <= lam + 2e-12 * lam_max
+    ynorm = float(np.linalg.norm(y))
+    if eps == 0.0:
+        assert res.residual_norm <= cfg.feas_tol * ynorm
+    else:
+        assert abs(res.residual_norm - eps) <= 1e-6 * eps
+    if eps > 0.0 and not fixed:
+        return
+    # reference_bpdn on the triangular factor, the same program with at most
+    # N rows: ||Phi x - y||^2 = ||R x - Q^T y||^2 + ||y - Q Q^T y||^2
+    q, r = np.linalg.qr(phi)
+    z = q.T @ y
+    eps_r = math.sqrt(max(eps * eps - float(np.sum((y - q @ z) ** 2)), 0.0))
+    ref = float(np.sum(np.abs(reference_bpdn(r, z, eps_r))))
+    assert ref * (1.0 - 1e-4) <= res.l1_norm <= ref * (1.0 + 1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_jump_cases())
+def test_jump_is_certified(case):
+    _check_jump(case, fixed=False)
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["exact", "noisy"])
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+@pytest.mark.parametrize("route, dims", _JUMP_ROUTES, ids=[r for r, _ in _JUMP_ROUTES])
+def test_jump_finishes_every_route(route, dims, variant, noisy):
+    _check_jump(_jump_case(route, *dims, 3, variant, noisy), fixed=True)
+
+
 def _fista_every_norm(step, lam_step, x0, tol, max_iter):
     """The FISTA loop with the five-call soft threshold and both norms read
     on every iteration; _fista must return its bytes and iteration count."""
@@ -490,7 +616,7 @@ def _fista_every_norm(step, lam_step, x0, tol, max_iter):
             t = 1.0
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         z = x_new + ((t - 1.0) / t_new) * dx
-        step_ok = np.linalg.norm(dx) <= tol * max(1.0, np.linalg.norm(x_new))
+        step_ok = np.linalg.norm(dx) <= tol * np.linalg.norm(x_new)
         x, t = x_new, t_new
         if step_ok or it >= max_iter:
             return x, it
@@ -617,17 +743,19 @@ class TestOperatorNorm:
     @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
     def test_fista_makes_two_operator_calls_per_iteration(self, variant, monkeypatch):
         # through CountingOp's gram_apply an iteration is one apply and one adjoint;
-        # solve_bpdn adds Phi^T y and one apply per stage for the stage's
-        # residual, and the norm's Lanczos calls are counted apart
+        # solve_bpdn adds Phi^T y, one apply per stage for the stage's
+        # residual and one apply and one adjoint per jump certificate, and
+        # the norm's Lanczos calls are counted apart
         d = ProblemDims(8, 24, 4)
         probes, h, _ = sparse_instance(d, 3, 4)
         op = CountingOp(MeasurementOperator(probes, variant))
         operator_norm_sq(op)
         norm_calls, op.calls = op.calls, 0
-        stages = _count_fista_stages(monkeypatch)
+        counts = _count_stages(monkeypatch)
         res = solve_bpdn(op, op.base.apply(h), 0.0, SolverConfig())
         assert res.converged
-        assert op.calls - norm_calls == 2 * res.iterations + 1 + stages[0]
+        assert op.calls - norm_calls == (2 * res.iterations + 1 + counts["stages"]
+                                         + 2 * counts["certificates"])
 
 
 class TestOracleLS:
@@ -770,6 +898,22 @@ def test_error_scales_linearly_with_epsilon():
 SCALE_OPERATOR = ProblemDims(8, 24, 4)
 
 
+def test_bpdn_is_scale_invariant():
+    # FISTA's stop is relative to ||x|| and the jump's tests to ||Phi^T y||_inf
+    # and ||y||, so every power of ten of y in the normal range gives the same
+    # stop and an error of scale 1; at y * 1e-8 to 1e-150 this instance ran
+    # out its 80 stages at relative error 0.57 when FISTA stopped on
+    # ||dx|| <= tol * max(1, ||x||)
+    op = folded_operator(generate_probes(SCALE_OPERATOR, 3))
+    h = rng.sparse_channel(1, 2, SCALE_OPERATOR.signal_len, 3)
+    y = op.apply(h)
+    for k in range(-150, 151):
+        scale = 10.0**k
+        res = solve_bpdn(op, y * scale, 0.0, SolverConfig())
+        assert res.converged, k
+        assert np.linalg.norm(res.x_hat / scale - h) <= 1e-6 * np.linalg.norm(h), k
+
+
 @pytest.mark.parametrize("scale", [1e-158, 1e-170, 1e155, 1e200])
 @pytest.mark.parametrize("method", ["bpdn", "iht", "oracle"])
 def test_y_outside_normal_range_rejected(method, scale):
@@ -811,12 +955,19 @@ def test_y_inside_normal_range_accepted(scale):
 # gram_apply in place of one apply and one adjoint of Phi z - y (largest
 # relative move of x_hat in l2, then of ||x_hat - h|| / ||h||: bpdn-folded
 # 2.2e-16 and 2.0e-10, bpdn-linear 2.5e-16 and 7.8e-15, iht 2.9e-16 and
-# 1.8e-9; FROZEN_API_FLAGS held).
+# 1.8e-9; FROZEN_API_FLAGS held).  The four bpdn digests were re-recorded
+# when solve_bpdn finished on the KKT-certified active-set jump and FISTA's
+# stop became relative (x_hat moved by at most, relative in l2: folded
+# 2.1e-7 and 2.1e-7, linear 7.8e-8 and 5.0e-8, the distance between two
+# points within the feas_tol budget; every result converged with note "",
+# folded errors to the truth went from 2.9e-7..9.5e-7 to 5.0e-7..7.4e-7, and
+# the linear residuals read 0.05 to 7 digits where FISTA's read 0.05 within
+# 4e-7 relative).
 FROZEN_API_DIGESTS = {
-    ("bpdn-folded", (8, 24, 4)): "1927cf98d90efe5dc0c6283a5109b8d614654887408696aeea325069d4602168",
-    ("bpdn-folded", (32, 128, 8)): "da3f12c247d2a140fc10e80259fe1ee2d0b5b3718abdf94fa18d484e648b1b36",
-    ("bpdn-linear", (8, 24, 4)): "dd366bb08896397a3e1ad91e46a12084f4ec5e750a2d92e3956ca74751c29641",
-    ("bpdn-linear", (32, 128, 8)): "03692d529e733127b9d43e77dad4bf290ce53222af128ad772b96d36b6e7df8b",
+    ("bpdn-folded", (8, 24, 4)): "af5f44a173c9e9a2223fe039b441b45b974911923fca8cc75aa297e75a31e8a9",
+    ("bpdn-folded", (32, 128, 8)): "ce108c21ae6859b51b5c70aa0bd0c1ac0ba9c49231d050fadb906987feb06d0f",
+    ("bpdn-linear", (8, 24, 4)): "24276cc008023ffd63d6b006fe1192bc87c4b56d9c3ed2e522d3603726f86e81",
+    ("bpdn-linear", (32, 128, 8)): "267f933ac96894a62ae3831ffc05f893b9e99c578e4ef88aab7af382cca06cfd",
     ("iht", (8, 24, 4)): "a7dac5d7b757c84fbf03d66f4deaf38dde331ec671a6638da3002d9d6ceb0412",
     ("iht", (32, 128, 8)): "a744ebc0a578e5f2c7ae32047091b389ac2da59930059e14fbec08273bf7bd39",
     ("oracle", (8, 24, 4)): "86653ad3d8b07905f26811ee18aa6fcf9b4cd90768f41dd10f3218eb1d89dbda",
@@ -826,12 +977,15 @@ FROZEN_API_DIGESTS = {
 
 # (iterations, converged, note) of each seed's result, recorded with the
 # complex-FFT operator kernel; a kernel change that moves only float bits
-# leaves every stop unchanged.
+# leaves every stop unchanged.  The bpdn iteration counts fell when
+# solve_bpdn finished on the certified active-set jump (folded (8, 24, 4)
+# 379/284/255, (32, 128, 8) 215/239/249; linear (8, 24, 4) 403/461/266,
+# (32, 128, 8) 364/496/293); every converged flag and note held.
 FROZEN_API_FLAGS = {
-    ("bpdn-folded", (8, 24, 4)): [(379, True, ""), (284, True, ""), (255, True, "")],
-    ("bpdn-folded", (32, 128, 8)): [(215, True, ""), (239, True, ""), (249, True, "")],
-    ("bpdn-linear", (8, 24, 4)): [(403, True, ""), (461, True, ""), (266, True, "")],
-    ("bpdn-linear", (32, 128, 8)): [(364, True, ""), (496, True, ""), (293, True, "")],
+    ("bpdn-folded", (8, 24, 4)): [(91, True, ""), (86, True, ""), (120, True, "")],
+    ("bpdn-folded", (32, 128, 8)): [(76, True, ""), (78, True, ""), (79, True, "")],
+    ("bpdn-linear", (8, 24, 4)): [(150, True, ""), (142, True, ""), (118, True, "")],
+    ("bpdn-linear", (32, 128, 8)): [(253, True, ""), (329, True, ""), (143, True, "")],
     ("iht", (8, 24, 4)): [(167, True, ""), (154, True, ""), (102, True, "")],
     ("iht", (32, 128, 8)): [(88, True, ""), (105, True, ""), (119, True, "")],
     ("oracle", (8, 24, 4)): [(1, True, "")] * 3,
